@@ -34,7 +34,8 @@
  *     fast-forward-on campaign at --obs=off/metrics/trace/full.
  *     Observation must never perturb results: all four deterministic
  *     fingerprints must be byte-identical (hard failure), and the
- *     wall-clock overhead of --obs=metrics over --obs=off is gated at
+ *     wall-clock overhead of --obs=metrics over --obs=off — the
+ *     median ratio of interleaved off/metrics pairs — is gated at
  *     <= 1.10x.  The trace arms spill per-trial event logs and the
  *     section merges them (obs::mergeChromeTraces) into one Perfetto
  *     trace.  Results land in
@@ -47,31 +48,22 @@
  *     decryption + arming run + the replay-1 calibration work) before
  *     every iteration; the fast arm COW-forks the machine at the
  *     replay handle once (Recipe::differentialReplay +
- *     Microscope::restoreEpisode) and restores that per iteration.
+ *     Microscope::restoreEpisode) and restores that per iteration;
+ *     every restore after the first rewinds the machine's undo logs
+ *     (DESIGN.md §17).
  *     The determinism fingerprints must be byte-identical across arms
  *     — a hard failure otherwise — and the measured speedup lands in
  *     bench-results/BENCH_diffreplay.json (CI fails if the fast arm
  *     is not at least break-even; the paper-repro target is >= 1.5x).
  *     `--diffreplay={on,off}` pins one arm.
- *  7. **Batched-replay A/B** (DESIGN.md §17) — the section-6 arm
- *     widened to N=12 re-entries per episode, run three ways: cold
- *     resimulation, per-sibling diffreplay restores, and one
- *     ms::runReplayBatch batch (single full restore + journal
- *     rewinds).  All three fingerprints must be byte-identical (hard
- *     failure), the batch must beat per-sibling break-even (CI gate;
- *     paper-repro target >= 1.5x), and a quiet/chaos x ff x workers
- *     1/2/4 identity matrix revalidates the contract in every
- *     configuration.  Results land in
- *     bench-results/BENCH_batchreplay.json; `--batch-replay={on,off}`
- *     pins one pinned arm (batched vs per-sibling) whose fingerprint
- *     files CI `cmp`s.
  *
  * `--section=N` runs exactly one numbered section (1 sharding, 2
- * fast-forward, 3 prefix, 5 obs, 6 diffreplay, 7 batchreplay) — what
+ * fast-forward, 3 prefix, 5 obs, 6 diffreplay) — what
  * the CI smoke jobs use to parallelize and to scope failures.  Any
  * other N is an error: a section that does not exist must not pass.
  */
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -87,8 +79,6 @@
 #include "attack/port_contention.hh"
 #include "common/random.hh"
 #include "core/microscope.hh"
-#include "core/replay_batch.hh"
-#include "fault/plan.hh"
 #include "crypto/aes.hh"
 #include "crypto/aes_codegen.hh"
 #include "exp/campaign.hh"
@@ -478,9 +468,13 @@ prefixSection(std::optional<bool> prefix_cache, std::optional<bool> pool,
 
 /** Phase profiling + metric export must stay effectively free. */
 constexpr double obsOverheadGate = 1.10;
+/** Interleaved off/metrics pairs behind the overhead gate: one
+ *  ~50 ms arm each is too short for a single pair to be trusted. */
+constexpr std::size_t obsOverheadPairs = 7;
 
 struct ObsArm
 {
+    obs::ObsLevel level = obs::ObsLevel::Off;
     const char *name = "";
     double wallSeconds = 0.0;
     double trialsPerSec = 0.0;
@@ -501,6 +495,7 @@ runObsArm(obs::ObsLevel level, const std::string &spill_dir)
     const exp::CampaignResult result = exp::runCampaign(spec);
 
     ObsArm arm;
+    arm.level = level;
     arm.name = obs::obsLevelName(level);
     arm.wallSeconds = result.wallSeconds;
     arm.trialsPerSec = result.trialsPerSecond();
@@ -536,25 +531,46 @@ obsSection(std::optional<obs::ObsLevel> pinned)
         return arm.ok;
     }
 
+    // The overhead gate: off/metrics pairs, alternating which arm
+    // runs first so drift in host speed cancels; the median ratio is
+    // gated.  Then one trace and one full arm.
     std::vector<ObsArm> arms;
+    std::vector<double> ratios;
+    for (std::size_t pair = 0; pair < obsOverheadPairs; ++pair) {
+        const bool offFirst = pair % 2 == 0;
+        ObsArm first = runObsArm(offFirst ? obs::ObsLevel::Off
+                                          : obs::ObsLevel::Metrics,
+                                 std::string());
+        ObsArm second = runObsArm(offFirst ? obs::ObsLevel::Metrics
+                                           : obs::ObsLevel::Off,
+                                  std::string());
+        const ObsArm &off = offFirst ? first : second;
+        const ObsArm &metrics = offFirst ? second : first;
+        ratios.push_back(off.wallSeconds > 0.0
+                             ? metrics.wallSeconds / off.wallSeconds
+                             : 0.0);
+        std::printf("pair %zu (%s first): off %.3fs, metrics %.3fs, "
+                    "ratio %.3f\n",
+                    pair, offFirst ? "off" : "metrics",
+                    off.wallSeconds, metrics.wallSeconds,
+                    ratios.back());
+        arms.push_back(std::move(first));
+        arms.push_back(std::move(second));
+    }
     for (const obs::ObsLevel level :
-         {obs::ObsLevel::Off, obs::ObsLevel::Metrics,
-          obs::ObsLevel::Trace, obs::ObsLevel::Full}) {
-        std::string dir;
-        if (level >= obs::ObsLevel::Trace) {
-            dir = spillBase + "_" +
-                  std::string(obs::obsLevelName(level));
-            std::error_code ec;
-            std::filesystem::remove_all(dir, ec);
-        }
+         {obs::ObsLevel::Trace, obs::ObsLevel::Full}) {
+        const std::string dir =
+            spillBase + "_" + std::string(obs::obsLevelName(level));
+        std::error_code ec;
+        std::filesystem::remove_all(dir, ec);
         arms.push_back(runObsArm(level, dir));
-        const ObsArm &arm = arms.back();
+    }
+    for (const ObsArm &arm : arms)
         std::printf("obs=%-8s %6.2fs wall, %5.1f trials/s, prof %s, "
                     "fingerprint %s\n",
                     arm.name, arm.wallSeconds, arm.trialsPerSec,
                     arm.hasProf ? "yes" : "no",
                     fnv1aHex(arm.fingerprint).c_str());
-    }
 
     // The invariance contract: the dial NEVER changes results.
     bool identical = true, ok = true;
@@ -566,17 +582,20 @@ obsSection(std::optional<obs::ObsLevel> pinned)
                 "%s\n", identical ? "yes" : "NO");
 
     // Prof must be present exactly when the dial says so.
-    const bool profGated = !arms[0].hasProf && arms[1].hasProf &&
-                           arms[2].hasProf && arms[3].hasProf;
+    bool profGated = true;
+    for (const ObsArm &arm : arms)
+        profGated = profGated && arm.hasProf == (arm.level !=
+                                                 obs::ObsLevel::Off);
     if (!profGated)
         std::printf("prof presence does not match the obs dial\n");
 
-    const double overhead = arms[0].wallSeconds > 0.0
-                                ? arms[1].wallSeconds /
-                                      arms[0].wallSeconds
-                                : 0.0;
-    std::printf("metrics overhead vs off: %.3fx (gate: <= %.2fx)\n",
-                overhead, obsOverheadGate);
+    std::vector<double> sorted = ratios;
+    std::sort(sorted.begin(), sorted.end());
+    const double overhead = sorted[sorted.size() / 2];
+    std::printf("metrics overhead vs off: %.3fx median of %zu pairs "
+                "(range %.3f-%.3f; gate: <= %.2fx)\n",
+                overhead, ratios.size(), sorted.front(), sorted.back(),
+                obsOverheadGate);
 
     // Merge the trace arm's spills into one trace (worker 0 only, one
     // pid lane).
@@ -593,6 +612,9 @@ obsSection(std::optional<obs::ObsLevel> pinned)
                 spillCount, fig11Trials,
                 spillCount ? mergedPath.c_str() : "(none)");
 
+    exp::json::Value pairsJson = exp::json::Value::array();
+    for (const double ratio : ratios)
+        pairsJson.push(ratio);
     exp::json::Value armsJson = exp::json::Value::array();
     for (const ObsArm &arm : arms)
         armsJson.push(exp::json::Value::object()
@@ -611,6 +633,7 @@ obsSection(std::optional<obs::ObsLevel> pinned)
                      .set("trials", std::uint64_t{fig11Trials})
                      .set("master_seed", std::uint64_t{42}))
             .set("overhead_metrics_vs_off", overhead)
+            .set("overhead_pair_ratios", std::move(pairsJson))
             .set("overhead_gate", obsOverheadGate)
             .set("fingerprints_identical", identical)
             .set("fingerprint", fnv1aHex(arms[0].fingerprint))
@@ -632,63 +655,29 @@ constexpr std::size_t diffTrials = 8;
 constexpr std::uint64_t diffIterations = 5;
 constexpr Cycles diffRunBudget = 50'000'000;
 
-/** One arm of the differential/batched-replay benches (sections 6/7). */
-struct DiffArm
-{
-    const char *name = "perf_campaign_diffreplay";
-    /** Episode-snapshot re-entry (§15) vs cold prefix re-simulation. */
-    bool differential = true;
-    /** CampaignSpec::batchReplays: non-zero drives the sibling
-     *  windows through ms::runReplayBatch (§17). */
-    std::uint64_t batch = 0;
-    unsigned workers = 1;
-    /** Explicit machine knobs; both unset = the default MachineConfig
-     *  (no machineFactory), which is what section 6 always measured. */
-    std::optional<bool> fastForward;
-    std::optional<bool> chaos;
-    std::size_t trials = diffTrials;
-    std::uint64_t iterations = diffIterations;
-};
-
 /**
  * Denoise-shaped trial: one confidence-2 episode (replay 1 is the
  * calibration prefix, replay 2 the measured window), re-entered
- * arm.iterations times with a fresh noise seed each, line hits decided
- * by majority vote.  With arm.differential the re-entry restores the
- * engine's episode snapshot — per-sibling restoreEpisode calls, or one
- * ms::runReplayBatch when arm.batch is set; without it, the pre-arm
- * snapshot is restored and the prefix — per-trial warm decryption,
- * priming, the arming run up to the replay-1 re-arm — re-simulated
- * from scratch.  All three must produce bit-identical results.
+ * diffIterations times with a fresh noise seed each, line hits decided
+ * by majority vote.  With @p differential the re-entry restores the
+ * engine's episode snapshot; without it, the pre-arm snapshot is
+ * restored and the prefix — per-trial warm decryption, priming, the
+ * arming run up to the replay-1 re-arm — re-simulated from scratch.
+ * Both must produce bit-identical results.
  */
 exp::CampaignSpec
-diffReplaySpec(const DiffArm &arm)
+diffReplaySpec(const char *name, bool differential)
 {
     exp::CampaignSpec spec;
-    spec.name = arm.name;
-    spec.trials = arm.trials;
+    spec.name = name;
+    spec.trials = diffTrials;
     spec.masterSeed = 42;
-    spec.workers = arm.workers;
+    spec.workers = 1;
     spec.prefixCache = true;
     spec.machinePool = true;
     spec.perTrialMetrics = false;
-    spec.batchReplays = arm.batch;
     spec.warmup = aesRigWarmup;
-    if (arm.fastForward || arm.chaos) {
-        const bool ff = arm.fastForward.value_or(true);
-        const bool noisy = arm.chaos.value_or(false);
-        spec.machineFactory = [ff, noisy](const exp::TrialContext &) {
-            os::MachineConfig config;
-            config.fastForward = ff;
-            config.fault = noisy ? fault::FaultPlan::chaos()
-                                 : fault::FaultPlan{};
-            return config;
-        };
-    }
-
-    const bool differential = arm.differential;
-    const std::uint64_t iterations = arm.iterations;
-    spec.body = [differential, iterations](const exp::TrialContext &ctx) {
+    spec.body = [differential](const exp::TrialContext &ctx) {
         os::Machine &m = *ctx.fork;
         const auto *rig =
             static_cast<const PrefixRig *>(ctx.warmupData);
@@ -780,36 +769,21 @@ diffReplaySpec(const DiffArm &arm)
         if (differential)
             scope.takeEpisodeSnapshot();
 
-        if (differential && ctx.batchReplays != 0) {
-            // Batched path (§17): one full restore + journal
-            // rewinds, same window stop predicate as the loop below so
-            // every sibling ends at the same cycle.
-            ms::ReplayBatchConfig batch;
-            batch.trialSeed = ctx.seed;
-            batch.iterations = iterations;
-            batch.runBudget = diffRunBudget;
-            batch.windowDone = [&]() { return !scope.armed(); };
-            ms::runReplayBatch(scope, scope.episodeSnapshot(),
-                               scope.episodeState(), batch);
-        } else {
-            for (std::uint64_t i = 0; i < iterations; ++i) {
-                const std::uint64_t seed =
-                    exp::deriveReplaySeed(ctx.seed, i);
-                if (differential) {
-                    scope.restoreEpisode(seed);
-                } else {
-                    m.restoreFrom(pre);
-                    scope.adoptEpisodeState(preState);
-                    runPrefix();
-                    m.reseed(seed);
-                }
-                // The window: replay 2 measures and closes the episode
-                // (no pivot, maxEpisodes 1 => the engine disarms
-                // inline).
-                if (!m.runUntil([&]() { return !scope.armed(); },
-                                diffRunBudget))
-                    throw std::runtime_error("window never closed");
+        for (std::uint64_t i = 0; i < diffIterations; ++i) {
+            const std::uint64_t seed = exp::deriveReplaySeed(ctx.seed, i);
+            if (differential) {
+                scope.restoreEpisode(seed);
+            } else {
+                m.restoreFrom(pre);
+                scope.adoptEpisodeState(preState);
+                runPrefix();
+                m.reseed(seed);
             }
+            // The window: replay 2 measures and closes the episode (no
+            // pivot, maxEpisodes 1 => the engine disarms inline).
+            if (!m.runUntil([&]() { return !scope.armed(); },
+                            diffRunBudget))
+                throw std::runtime_error("window never closed");
         }
 
         // Majority vote over the measured windows vs ground truth.
@@ -866,11 +840,8 @@ diffReplaySection(std::optional<bool> pinned, exp::JsonFileSink &sink)
 
     if (pinned) {
         const bool on = *pinned;
-        DiffArm arm;
-        arm.name = "perf_campaign_diffreplay_pinned";
-        arm.differential = on;
-        exp::CampaignResult result =
-            exp::runCampaign(diffReplaySpec(arm));
+        exp::CampaignResult result = exp::runCampaign(
+            diffReplaySpec("perf_campaign_diffreplay_pinned", on));
         std::printf("diffreplay=%s:\n", on ? "on" : "off");
         report("pinned", result);
         sink.consume(result);
@@ -881,16 +852,12 @@ diffReplaySection(std::optional<bool> pinned, exp::JsonFileSink &sink)
         return result.aggregate.ok == diffTrials;
     }
 
-    DiffArm offArm;
-    offArm.name = "perf_campaign_diffreplay_off";
-    offArm.differential = false;
-    exp::CampaignResult off = exp::runCampaign(diffReplaySpec(offArm));
+    exp::CampaignResult off = exp::runCampaign(
+        diffReplaySpec("perf_campaign_diffreplay_off", false));
     report("resim", off);
 
-    DiffArm onArm = offArm;
-    onArm.name = "perf_campaign_diffreplay_on";
-    onArm.differential = true;
-    exp::CampaignResult on = exp::runCampaign(diffReplaySpec(onArm));
+    exp::CampaignResult on = exp::runCampaign(
+        diffReplaySpec("perf_campaign_diffreplay_on", true));
     report("cowfork", on);
 
     const double speedup =
@@ -935,182 +902,6 @@ diffReplaySection(std::optional<bool> pinned, exp::JsonFileSink &sink)
     return identical && speedup >= 1.0 &&
            off.aggregate.ok == diffTrials &&
            on.aggregate.ok == diffTrials;
-}
-
-// ---------------------------------------------------------------------
-// Section 7: batched sibling replay A/B (DESIGN.md §17).
-// ---------------------------------------------------------------------
-
-/** Wide episodes: the batch pays one full restore for this many
- *  sibling windows.  Denoising campaigns in the paper's regime vote
- *  across tens of replays per handle, so the A/B measures N well past
- *  the ISSUE's N >= 4 floor. */
-constexpr std::size_t batchTrials = 8;
-constexpr std::uint64_t batchIterations = 24;
-/** Identity-matrix arms stay small: the matrix checks fingerprints,
- *  not wall clock. */
-constexpr std::size_t batchMatrixTrials = 2;
-constexpr std::uint64_t batchMatrixIterations = 3;
-
-/** Run section 7; returns false on a hard failure. */
-bool
-batchReplaySection(std::optional<bool> pinned, exp::JsonFileSink &sink)
-{
-    std::printf("\n==============================================================\n");
-    std::printf("Batched-replay A/B: journaled sibling windows, %zu "
-                "trials x %llu re-entries\n",
-                batchTrials,
-                static_cast<unsigned long long>(batchIterations));
-    std::printf("==============================================================\n\n");
-
-    if (pinned) {
-        // Pinned mode: one arm of the speedup shape, fingerprint to a
-        // file so CI can `cmp` the two pinned invocations.
-        const bool on = *pinned;
-        DiffArm arm;
-        arm.name = "perf_campaign_batchreplay_pinned";
-        arm.differential = true;
-        arm.batch = on ? batchIterations : 0;
-        arm.trials = batchTrials;
-        arm.iterations = batchIterations;
-        exp::CampaignResult result =
-            exp::runCampaign(diffReplaySpec(arm));
-        std::printf("batch-replay=%s:\n", on ? "on" : "off");
-        report("pinned", result);
-        sink.consume(result);
-        writeTextFile(
-            on ? "bench-results/BENCH_batchreplay_fp_on.txt"
-               : "bench-results/BENCH_batchreplay_fp_off.txt",
-            deterministicFingerprint(result));
-        return result.aggregate.ok == batchTrials;
-    }
-
-    // Speedup A/B: cold resim, per-sibling diffreplay, batch — all
-    // three must fingerprint identically; batch must beat per-sibling.
-    DiffArm coldArm;
-    coldArm.name = "perf_campaign_batchreplay_cold";
-    coldArm.differential = false;
-    coldArm.trials = batchTrials;
-    coldArm.iterations = batchIterations;
-    exp::CampaignResult cold =
-        exp::runCampaign(diffReplaySpec(coldArm));
-    report("resim", cold);
-
-    DiffArm onArm = coldArm;
-    onArm.name = "perf_campaign_batchreplay_diffon";
-    onArm.differential = true;
-    exp::CampaignResult diffOn =
-        exp::runCampaign(diffReplaySpec(onArm));
-    report("cowfork", diffOn);
-
-    DiffArm batchArm = onArm;
-    batchArm.name = "perf_campaign_batchreplay_batch";
-    batchArm.batch = batchIterations;
-    exp::CampaignResult batch =
-        exp::runCampaign(diffReplaySpec(batchArm));
-    report("batch", batch);
-
-    const double speedup = batch.wallSeconds > 0.0
-                               ? diffOn.wallSeconds / batch.wallSeconds
-                               : 0.0;
-    std::printf("\nbatched-replay speedup vs diffreplay-on (1 worker, "
-                "N=%llu): %.2fx (paper-repro target: >= 1.5x)\n",
-                static_cast<unsigned long long>(batchIterations),
-                speedup);
-
-    const std::string fpCold = deterministicFingerprint(cold);
-    const std::string fpOn = deterministicFingerprint(diffOn);
-    const std::string fpBatch = deterministicFingerprint(batch);
-    bool identical = fpBatch == fpOn && fpBatch == fpCold;
-    std::printf("fingerprints byte-identical across arms: %s\n",
-                identical ? "yes" : "NO");
-
-    sink.consume(diffOn);
-    sink.consume(batch);
-    writeTextFile("bench-results/BENCH_batchreplay_fp_off.txt", fpOn);
-    writeTextFile("bench-results/BENCH_batchreplay_fp_on.txt", fpBatch);
-
-    // Identity matrix: the batch contract must hold in every
-    // configuration the diffreplay contract holds in — ff on/off,
-    // quiet/chaos plans, worker counts 1/2/4 — against a cold-resim
-    // reference per (ff, plan) cell.  Small arms: this checks
-    // fingerprints, not throughput.
-    std::size_t matrixCells = 0, matrixMismatches = 0;
-    for (const bool chaos : {false, true}) {
-        for (const bool ff : {true, false}) {
-            DiffArm refArm;
-            refArm.name = "perf_campaign_batchreplay_matrix";
-            refArm.differential = false;
-            refArm.fastForward = ff;
-            refArm.chaos = chaos;
-            refArm.trials = batchMatrixTrials;
-            refArm.iterations = batchMatrixIterations;
-            const exp::CampaignResult ref =
-                exp::runCampaign(diffReplaySpec(refArm));
-            const std::string want = deterministicFingerprint(ref);
-            const bool refOk =
-                ref.aggregate.ok == batchMatrixTrials;
-            for (const bool batched : {false, true}) {
-                for (const unsigned workers : {1u, 2u, 4u}) {
-                    DiffArm cell = refArm;
-                    cell.differential = true;
-                    cell.batch =
-                        batched ? batchMatrixIterations : 0;
-                    cell.workers = workers;
-                    const exp::CampaignResult got =
-                        exp::runCampaign(diffReplaySpec(cell));
-                    ++matrixCells;
-                    const bool match =
-                        refOk &&
-                        deterministicFingerprint(got) == want;
-                    if (!match) {
-                        ++matrixMismatches;
-                        std::printf(
-                            "matrix MISMATCH: chaos=%d ff=%d "
-                            "batch=%d workers=%u\n",
-                            chaos, ff, batched, workers);
-                    }
-                }
-            }
-        }
-    }
-    std::printf("identity matrix: %zu cells, %zu mismatches "
-                "(batch x diff x workers x ff x plan)\n",
-                matrixCells, matrixMismatches);
-    identical = identical && matrixMismatches == 0;
-
-    const exp::json::Value bench =
-        exp::json::Value::object()
-            .set("bench", "perf_campaign_batchreplay")
-            .set("config",
-                 exp::json::Value::object()
-                     .set("trials", std::uint64_t{batchTrials})
-                     .set("replays_per_trial",
-                          std::uint64_t{batchIterations})
-                     .set("workers", std::uint64_t{1})
-                     .set("master_seed", std::uint64_t{42}))
-            .set("trials_per_sec", batch.trialsPerSecond())
-            .set("trials_per_sec_diffreplay",
-                 diffOn.trialsPerSecond())
-            .set("trials_per_sec_cold", cold.trialsPerSecond())
-            .set("speedup_vs_diffreplay_on", speedup)
-            .set("speedup_target", 1.5)
-            .set("fingerprints_identical", identical)
-            .set("matrix_cells", std::uint64_t{matrixCells})
-            .set("matrix_mismatches", std::uint64_t{matrixMismatches})
-            .set("fingerprint", fnv1aHex(fpBatch));
-    writeTextFile("bench-results/BENCH_batchreplay.json",
-                  bench.dump());
-    std::printf("bench JSON: bench-results/BENCH_batchreplay.json "
-                "(+ fingerprint files)\n");
-
-    // CI gate: determinism is absolute (speedup A/B arms + the full
-    // matrix); the speedup must never regress below break-even
-    // (>= 1.5x is tracked via the JSON).
-    return identical && speedup >= 1.0 &&
-           cold.aggregate.ok == batchTrials &&
-           diffOn.aggregate.ok == batchTrials &&
-           batch.aggregate.ok == batchTrials;
 }
 
 // ---------------------------------------------------------------------
@@ -1238,7 +1029,6 @@ main(int argc, char **argv)
     std::optional<bool> prefixCacheFlag;
     std::optional<bool> poolFlag;
     std::optional<bool> diffReplayFlag;
-    std::optional<bool> batchReplayFlag;
     std::optional<unsigned> sectionFlag;
     std::vector<char *> rest;
     rest.push_back(argv[0]);
@@ -1256,17 +1046,13 @@ main(int argc, char **argv)
             diffReplayFlag = true;
         else if (arg == "--diffreplay=off")
             diffReplayFlag = false;
-        else if (arg == "--batch-replay=on")
-            batchReplayFlag = true;
-        else if (arg == "--batch-replay=off")
-            batchReplayFlag = false;
         else if (arg.rfind("--section=", 0) == 0) {
             const std::optional<std::uint64_t> n =
                 obs::parseUnsignedValue(arg.c_str() + 10);
-            if (!n || *n < 1 || *n > 7 || *n == 4) {
+            if (!n || *n < 1 || *n > 6 || *n == 4) {
                 std::fprintf(stderr,
                              "perf_campaign: --section takes one of "
-                             "1, 2, 3, 5, 6, 7 (got '%s')\n",
+                             "1, 2, 3, 5, 6 (got '%s')\n",
                              arg.c_str() + 10);
                 return 2;
             }
@@ -1300,7 +1086,5 @@ main(int argc, char **argv)
         ok = obsSection(opts.obsLevel) && ok;
     if (want(6))
         ok = diffReplaySection(diffReplayFlag, sink) && ok;
-    if (want(7))
-        ok = batchReplaySection(batchReplayFlag, sink) && ok;
     return ok ? 0 : 1;
 }

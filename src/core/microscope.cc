@@ -1,7 +1,6 @@
 #include "core/microscope.hh"
 
 #include "common/logging.hh"
-#include "core/replay_batch.hh"
 #include "obs/metrics.hh"
 
 namespace uscope::ms
@@ -387,29 +386,6 @@ Microscope::restoreEpisodeFrom(const os::Snapshot &snap,
     adoptEpisodeState(state);
 }
 
-bool
-Microscope::restoreEpisodeJournaled(const os::Snapshot &snap,
-                                    const EpisodeState &state,
-                                    std::uint64_t seed)
-{
-    // Same restore + reseed + adopt sequence as restoreEpisodeFrom,
-    // with the hierarchy rewound through the armed undo journal when
-    // viable.  Either path leaves the machine bit-identical, so the
-    // return value is telemetry, not a semantic difference.
-    const bool journaled = machine_.journaledRestoreFrom(snap);
-    machine_.reseed(seed);
-    adoptEpisodeState(state);
-    return journaled;
-}
-
-void
-Microscope::noteBatchStats(const ReplayBatchStats &stats)
-{
-    batchRan_ = true;
-    batchJournaledRestores_ = stats.journaledRestores;
-    batchFullRestores_ = stats.fullRestores;
-}
-
 void
 Microscope::exportMetrics(obs::MetricRegistry &registry) const
 {
@@ -421,15 +397,6 @@ Microscope::exportMetrics(obs::MetricRegistry &registry) const
         .set(stats_.foreignFaults);
     registry.counter("os.replay.counter_saturations")
         .set(stats_.replayCounterSaturations);
-    // Batch telemetry appears only after a batch ran, so per-sibling
-    // and batched campaigns export identical metric *sets* once the
-    // mechanics prefixes (stripped like obs.trace.*) are removed.
-    if (batchRan_) {
-        registry.counter("os.replay.batch.journaled_restores")
-            .set(batchJournaledRestores_);
-        registry.counter("os.replay.batch.full_restores")
-            .set(batchFullRestores_);
-    }
 }
 
 } // namespace uscope::ms

@@ -37,8 +37,6 @@
 namespace uscope::ms
 {
 
-struct ReplayBatchStats;
-
 /** Module-level statistics. */
 struct MicroscopeStats
 {
@@ -183,6 +181,8 @@ class Microscope : public os::FaultModule
      * fresh noise realization), and re-adopt the snapshotted engine
      * state.  The caller then simply runs the machine; the victim
      * resumes from the handler stall into the speculative window.
+     * Every iteration after the first rewinds the machine's undo
+     * logs instead of copying it (Machine::restoreFrom).
      */
     void restoreEpisode(std::uint64_t seed);
 
@@ -198,27 +198,6 @@ class Microscope : public os::FaultModule
 
     /** Adopt @p state verbatim (loop position of a forked episode). */
     void adoptEpisodeState(const EpisodeState &state);
-
-    /**
-     * restoreEpisodeFrom, but the machine restore goes through the
-     * armed cache-hierarchy undo journal (batched sibling replay,
-     * DESIGN.md §17) — bit-identical to the full restore, O(ways the
-     * previous sibling touched) instead of O(cache size).
-     *
-     * @return true when the journal path ran; false when it fell back
-     *         to the full copy (journal unarmed or poisoned).
-     */
-    bool restoreEpisodeJournaled(const os::Snapshot &snap,
-                                 const EpisodeState &state,
-                                 std::uint64_t seed);
-
-    /**
-     * Record the last batch's telemetry (runReplayBatch calls this);
-     * exportMetrics then emits os.replay.batch.*.  Like obs.trace.*,
-     * those counters describe the mechanics, not the result, and are
-     * stripped from result fingerprints.
-     */
-    void noteBatchStats(const ReplayBatchStats &stats);
 
     // ------------------------------------------------------------------
     // Measurement utilities for recipe callbacks (Replayer-as-Monitor).
@@ -267,11 +246,6 @@ class Microscope : public os::FaultModule
     bool snapPending_ = false;
     os::Snapshot episodeSnap_;
     EpisodeState episodeSt_;
-
-    /** Last batch's telemetry (exported only after a batch ran). */
-    bool batchRan_ = false;
-    std::uint64_t batchJournaledRestores_ = 0;
-    std::uint64_t batchFullRestores_ = 0;
 };
 
 } // namespace uscope::ms

@@ -1,9 +1,6 @@
 #include "core/replay_batch.hh"
 
-#include <stdexcept>
-
 #include "common/random.hh"
-#include "core/microscope.hh"
 
 namespace uscope::ms
 {
@@ -15,37 +12,6 @@ deriveReplaySeed(std::uint64_t trial_seed, std::uint64_t iteration)
     // seeds never collide with trial or retry seeds.
     return mix64(mix64(trial_seed ^ 0xD1B54A32D192ED03ull) ^
                  mix64(~iteration));
-}
-
-ReplayBatchStats
-runReplayBatch(Microscope &scope, const os::Snapshot &snap,
-               const EpisodeState &state, const ReplayBatchConfig &config)
-{
-    os::Machine &m = scope.machine();
-    ReplayBatchStats stats;
-    for (std::uint64_t i = 0; i < config.iterations; ++i) {
-        const std::uint64_t seed = deriveReplaySeed(config.trialSeed, i);
-        if (i == 0) {
-            scope.restoreEpisodeFrom(snap, state, seed);
-            m.beginReplayJournal();
-            ++stats.fullRestores;
-        } else if (scope.restoreEpisodeJournaled(snap, state, seed)) {
-            ++stats.journaledRestores;
-        } else {
-            ++stats.fullRestores;
-        }
-        const bool done =
-            config.windowDone
-                ? m.runUntil(config.windowDone, config.runBudget)
-                : m.runUntilHalted(config.haltCtx, config.runBudget);
-        if (!done)
-            throw std::runtime_error("replay batch window never ended");
-        if (config.onSibling)
-            config.onSibling(i);
-    }
-    m.endReplayJournal();
-    scope.noteBatchStats(stats);
-    return stats;
 }
 
 } // namespace uscope::ms

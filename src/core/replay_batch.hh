@@ -1,67 +1,26 @@
 /**
  * @file
- * Batched sibling replay (DESIGN.md §17): the N re-entries of one
- * differential-replay episode run as a plain per-sibling loop.  The
- * first sibling takes a full restore and arms the machine's undo
- * journal; every later sibling rewinds through that journal instead
- * of copying the whole cache hierarchy.  Both restores leave the
- * machine bit-identical, so results match the §15 restoreEpisode loop.
+ * The seed of each differential-replay iteration (DESIGN.md §15).
+ * exp::deriveReplaySeed forwards here, so the library and the
+ * campaign layer derive the same sibling seeds.
  */
 
 #ifndef USCOPE_CORE_REPLAY_BATCH_HH
 #define USCOPE_CORE_REPLAY_BATCH_HH
 
 #include <cstdint>
-#include <functional>
-
-#include "common/types.hh"
-#include "os/machine.hh"
 
 namespace uscope::ms
 {
 
-class Microscope;
-struct EpisodeState;
-
 /**
  * Seed of differential-replay iteration @p iteration of a trial
- * seeded @p trial_seed (exp::deriveReplaySeed forwards here).  The
- * formula is pinned by golden values in tests/test_batchreplay.cc:
- * changing it moves every replay campaign's fingerprint.
+ * seeded @p trial_seed.  The formula is pinned by golden values in
+ * tests/test_diffreplay.cc: changing it moves every replay campaign's
+ * fingerprint.
  */
 std::uint64_t deriveReplaySeed(std::uint64_t trial_seed,
                                std::uint64_t iteration);
-
-/** What runReplayBatch runs. */
-struct ReplayBatchConfig
-{
-    std::uint64_t trialSeed = 0;
-    /** Sibling windows to run. */
-    std::uint64_t iterations = 0;
-    /** Cycle budget of each window. */
-    Cycles runBudget = 0;
-    /** Window end: this predicate, or else context haltCtx halting. */
-    std::function<bool()> windowDone;
-    unsigned haltCtx = 0;
-    /** Called after sibling i's window ends. */
-    std::function<void(std::uint64_t)> onSibling;
-};
-
-/** Telemetry of the last batch (exported as os.replay.batch.*). */
-struct ReplayBatchStats
-{
-    std::uint64_t journaledRestores = 0;
-    std::uint64_t fullRestores = 0;
-};
-
-/**
- * Run @p config.iterations sibling windows from @p snap / @p state:
- * one full restore, then journal rewinds.  Throws std::runtime_error
- * when a window exceeds its budget.
- */
-ReplayBatchStats runReplayBatch(Microscope &scope, const os::Snapshot &snap,
-                                const EpisodeState &state,
-                                const ReplayBatchConfig &config);
 
 } // namespace uscope::ms
 

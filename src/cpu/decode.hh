@@ -8,10 +8,9 @@
  * Decode is pure per (program, pc), so it is evaluated once when a
  * Program is built and memoized as a DecodedInst table the core
  * indexes by pc.  The stream is refcounted through the owning
- * Program's shared_ptr: COW-forked machines, batched replay siblings,
- * and every SMT context running the same victim all read one decode
- * table — one fetch/decode evaluation drives N speculative windows
- * (DESIGN.md §17).
+ * Program's shared_ptr: COW-forked machines, replay windows, and every
+ * SMT context running the same victim all read one decode table
+ * (DESIGN.md §12).
  *
  * DecodedStream is deeply immutable after construction; sharing it
  * across Machine forks (same thread or not) is safe because nothing

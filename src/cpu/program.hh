@@ -39,9 +39,9 @@ class Program
     const Instruction &at(std::uint64_t pc) const;
 
     /**
-     * The memoized decode table (DESIGN.md §17).  Built eagerly in
+     * The memoized decode table (DESIGN.md §12).  Built eagerly in
      * every constructor and shared by copies of the Program, so all
-     * contexts, forks, and replay siblings running this program index
+     * contexts, forks, and replay windows running this program index
      * one immutable stream.  Never null.
      */
     const DecodedStream &decoded() const { return *decoded_; }

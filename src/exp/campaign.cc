@@ -30,15 +30,13 @@ elapsedSeconds(std::chrono::steady_clock::time_point since)
 }
 
 /**
- * Strip host-mechanics meta-counters from a snapshot copy.  Three
+ * Strip host-mechanics meta-counters from a snapshot copy.  Two
  * prefixes describe *how a result was produced*, not the result:
  * `obs.trace.*` only appears when tracing is on (folding it in would
  * make `--obs=off` and `--obs=trace` disagree about identical
- * results); `mem.physmem.*` counts COW fast-reshares, which differ
- * between pooled/forked/cold machines reaching the same state; and
- * `os.replay.batch.*` records batched-replay telemetry, which the
- * batched and per-sibling replay paths by contract must not let leak
- * into results (DESIGN.md §17).
+ * results), and `mem.physmem.*` counts full restores vs rewinds,
+ * which differ between pooled/forked/cold machines reaching the same
+ * state (DESIGN.md §17).
  */
 obs::MetricSnapshot
 withoutObsMeta(const obs::MetricSnapshot &snapshot)
@@ -48,9 +46,7 @@ withoutObsMeta(const obs::MetricSnapshot &snapshot)
         std::remove_if(out.values.begin(), out.values.end(),
                        [](const obs::MetricValue &v) {
                            return v.name.rfind("obs.trace.", 0) == 0 ||
-                                  v.name.rfind("mem.physmem.", 0) == 0 ||
-                                  v.name.rfind("os.replay.batch.",
-                                               0) == 0;
+                                  v.name.rfind("mem.physmem.", 0) == 0;
                        }),
         out.values.end());
     return out;
@@ -89,11 +85,8 @@ deriveWarmupSeed(std::uint64_t master)
 std::uint64_t
 deriveReplaySeed(std::uint64_t trial_seed, std::uint64_t iteration)
 {
-    // The definition moved to ms::deriveReplaySeed (DESIGN.md §17):
-    // the batched-replay driver below src/exp must derive the exact
-    // same sibling seeds, so the library owns the formula and the
-    // campaign layer forwards.  Values are unchanged — campaign
-    // fingerprints are preserved.
+    // The library owns the formula (ms::deriveReplaySeed) so code
+    // below src/exp derives the exact same sibling seeds.
     return ms::deriveReplaySeed(trial_seed, iteration);
 }
 
@@ -375,7 +368,6 @@ TrialExecutor::runAttempt(const CampaignSpec &spec, std::size_t index,
     obs::ProfData *prof = spec.obsLevel >= obs::ObsLevel::Metrics
                               ? &state_->prof
                               : nullptr;
-    ctx.batchReplays = spec.batchReplays;
 
     TrialResult result;
     result.index = index;

@@ -143,16 +143,6 @@ struct TrialContext
     Cycles forkCycle = 0;
 
     /**
-     * CampaignSpec::batchReplays, verbatim.  Bodies that run a
-     * differential-replay loop honour it by driving their sibling
-     * windows through ms::runReplayBatch (journal-rewind restores,
-     * DESIGN.md §17) instead of the per-sibling restoreEpisode loop.
-     * 0 = per-sibling (the §15 baseline).  Results are byte-identical
-     * either way; this is a pure wall-clock knob like prefixCache.
-     */
-    std::uint64_t batchReplays = 0;
-
-    /**
      * Throw TrialTimeout when @p used_cycles exceeds the budget.
      *
      * Boundary semantics: the budget is *inclusive* — a trial that
@@ -296,19 +286,6 @@ struct CampaignSpec
      * bit-identical to fresh construction.
      */
     bool machinePool = true;
-
-    /**
-     * Batched sibling replay (DESIGN.md §17): when non-zero,
-     * differential-replay bodies run their sibling windows through
-     * ms::runReplayBatch — one full restore plus journal rewinds —
-     * instead of one full restore per sibling.  The value is passed to
-     * bodies via TrialContext::batchReplays; bodies that do not replay
-     * ignore it.  Like prefixCache and machinePool this is a pure
-     * wall-clock knob: batched and per-sibling campaigns produce
-     * byte-identical fingerprints (bench/perf_campaign §7 enforces
-     * this).
-     */
-    std::uint64_t batchReplays = 0;
 
     /**
      * Hand every trial a runner-managed machine via TrialContext::fork

@@ -1,8 +1,7 @@
 #include "exp/checkpoint.hh"
 
 #include <bit>
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <fcntl.h>
 #include <filesystem>
@@ -85,30 +84,28 @@ struct Reader
             ok = false;
     }
 
+    /** An unsigned word in @p base: digits only (no sign, space or
+     *  0x prefix), and in range. */
     std::uint64_t
-    u64()
+    number(const std::string &w, int base)
     {
-        const std::string w = word();
-        if (!ok || w.empty())
-            return 0;
-        char *end = nullptr;
-        const std::uint64_t v = std::strtoull(w.c_str(), &end, 10);
-        if (end != w.c_str() + w.size())
+        std::uint64_t v = 0;
+        const auto [end, ec] =
+            std::from_chars(w.data(), w.data() + w.size(), v, base);
+        if (ec != std::errc() || end != w.data() + w.size())
             ok = false;
         return v;
     }
+
+    std::uint64_t u64() { return number(word(), 10); }
 
     double
     bits()
     {
         const std::string w = word();
-        if (!ok || w.size() != 16)
-            return ok = false, 0.0;
-        char *end = nullptr;
-        const std::uint64_t v = std::strtoull(w.c_str(), &end, 16);
-        if (end != w.c_str() + w.size())
+        if (w.size() != 16)
             ok = false;
-        return std::bit_cast<double>(v);
+        return std::bit_cast<double>(number(w, 16));
     }
 
     Summary
@@ -127,7 +124,7 @@ struct Reader
     std::string
     blob(std::size_t len)
     {
-        if (pos >= s.size() || s[pos] != '\n' || pos + 1 + len > s.size()) {
+        if (pos >= s.size() || s[pos] != '\n' || len > s.size() - pos - 1) {
             ok = false;
             return {};
         }
@@ -135,6 +132,15 @@ struct Reader
         std::string bytes = s.substr(pos, len);
         pos += len;
         return bytes;
+    }
+
+    /** The record's closing token and its newline end the input. */
+    void
+    expectEnd()
+    {
+        expect("end");
+        if (s.compare(pos, std::string::npos, "\n") != 0)
+            ok = false;
     }
 };
 
@@ -272,7 +278,7 @@ CampaignCheckpoint::parseTrial(const std::string &text)
         }
         out.output.metrics.values.push_back(std::move(value));
     }
-    r.expect("end");
+    r.expectEnd();
     if (!r.ok || out.attempts == 0)
         return std::nullopt;
     return out;

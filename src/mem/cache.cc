@@ -188,11 +188,11 @@ Cache::recordUndo(const Way &way)
     journal_.entries.push_back({index, way});
 }
 
-bool
+void
 Cache::rewindJournal()
 {
     if (!journalViable())
-        return false;
+        panic("Cache %s: rewind without a viable journal", name_.c_str());
     // Reverse order makes duplicate records of one way harmless: the
     // last applied (= first recorded) image is the armed-time state.
     for (auto it = journal_.entries.rbegin();
@@ -202,7 +202,6 @@ Cache::rewindJournal()
     clock_ = journal_.clock0;
     stats_ = journal_.stats0;
     journal_.entries.clear();
-    return true;
 }
 
 std::uint64_t

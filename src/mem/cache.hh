@@ -111,7 +111,7 @@ class Cache
     }
 
     // ------------------------------------------------------------------
-    // Undo journal (batched sibling replay, DESIGN.md §17).
+    // Undo journal (machine state restore, DESIGN.md §17).
     // ------------------------------------------------------------------
 
     /**
@@ -123,29 +123,19 @@ class Cache
      */
     void beginJournal();
 
-    /** Disarm without rewinding (keeps the mutated state). */
-    void endJournal() { disarmJournal(); }
-
     /**
      * Undo every journaled mutation in reverse order, restoring the
      * exact state beginJournal() captured (ways, LRU clock, stats),
      * and leave the journal armed-and-empty for the next window.
-     *
-     * @return false when the journal is not viable (never armed,
-     *         poisoned by invalidateAll, or overflowed the entry cap);
-     *         the state is then left untouched and the caller must
-     *         fall back to copyStateFrom + beginJournal.
+     * Requires journalViable().
      */
-    bool rewindJournal();
+    void rewindJournal();
 
-    /** Armed and not poisoned — rewindJournal() would succeed. */
+    /** Armed and not poisoned (by invalidateAll or the entry cap). */
     bool journalViable() const
     {
         return journal_.armed && !journal_.poisoned;
     }
-
-    /** Undo entries currently recorded (diagnostics/tests). */
-    std::size_t journalSize() const { return journal_.entries.size(); }
 
     /**
      * FNV-1a digest of the complete mutable state (ways, LRU clock,

@@ -168,25 +168,12 @@ Hierarchy::beginJournal()
 }
 
 void
-Hierarchy::endJournal()
-{
-    l1_.endJournal();
-    l2_.endJournal();
-    l3_.endJournal();
-}
-
-bool
 Hierarchy::rewindJournalTo(const Hierarchy &snap)
 {
-    // All-or-nothing: check viability first so a poisoned level never
-    // leaves the hierarchy half-rewound.
-    if (!journalViable())
-        return false;
     l1_.rewindJournal();
     l2_.rewindJournal();
     l3_.rewindJournal();
     rng_ = snap.rng_;
-    return true;
 }
 
 std::uint64_t

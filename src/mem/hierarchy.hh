@@ -143,28 +143,21 @@ class Hierarchy
     void setObserver(obs::Observer *observer) { obs_ = observer; }
 
     // ------------------------------------------------------------------
-    // Undo journal (batched sibling replay, DESIGN.md §17).
+    // Undo journal (machine state restore, DESIGN.md §17).
     // ------------------------------------------------------------------
 
     /** Arm all three caches' undo journals at the current state. */
     void beginJournal();
-
-    /** Disarm without rewinding (keeps the mutated state). */
-    void endJournal();
 
     /**
      * Restore the state captured by the last beginJournal() by
      * rewinding every cache's undo journal (O(ways touched)), and
      * adopt @p snap's DRAM-jitter RNG so the net effect is exactly
      * copyStateFrom(@p snap) — @p snap must be the state the journal
-     * was armed at.  Leaves the journals armed-and-empty.
-     *
-     * @return false when any cache's journal is not viable (poisoned
-     *         by invalidateAll or entry-cap overflow); no state is
-     *         touched and the caller must fall back to copyStateFrom
-     *         (+ beginJournal to re-arm).
+     * was armed at.  Requires journalViable(); leaves the journals
+     * armed-and-empty.
      */
-    bool rewindJournalTo(const Hierarchy &snap);
+    void rewindJournalTo(const Hierarchy &snap);
 
     /** All three journals armed and unpoisoned. */
     bool journalViable() const

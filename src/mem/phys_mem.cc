@@ -1,6 +1,5 @@
 #include "mem/phys_mem.hh"
 
-#include <atomic>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -12,16 +11,9 @@ namespace uscope::mem
 namespace
 {
 
-/** Dirty lists past this size stop paying for themselves; poison the
- *  fast path instead of tracking further. */
+/** Dirty lists past this size stop paying for themselves; the next
+ *  restore takes the full share instead. */
 constexpr std::size_t kMaxDirtyTracked = 4096;
-
-std::uint64_t
-nextPhysMemId()
-{
-    static std::atomic<std::uint64_t> counter{1};
-    return counter.fetch_add(1, std::memory_order_relaxed);
-}
 
 } // namespace
 
@@ -68,20 +60,18 @@ constexpr std::size_t kInitialSlots = 256;
 
 PhysMem::PhysMem(std::uint64_t size)
     : size_(size), arena_(std::make_shared<PageArena>()),
-      slots_(kInitialSlots), mask_(kInitialSlots - 1),
-      id_(nextPhysMemId())
+      slots_(kInitialSlots), mask_(kInitialSlots - 1)
 {
 }
 
 void
 PhysMem::markDirty(Ppn ppn)
 {
-    if (!shareOrigin_ || tableDiverged_)
+    if (tableDiverged_)
         return;
     if (dirtyPpns_.size() >= kMaxDirtyTracked) {
         tableDiverged_ = true;
         dirtyPpns_.clear();
-        ++rebuildPoisons_;
         return;
     }
     dirtyPpns_.push_back(ppn);
@@ -127,10 +117,6 @@ std::uint8_t *
 PhysMem::pageFor(PAddr addr)
 {
     const Ppn ppn = pageNumber(addr);
-    // Every writable-page access can change bytes, including writes to
-    // already-private pages; targets sharing *from* this instance key
-    // their dirty-tracking validity off this epoch.
-    ++mutationEpoch_;
     std::size_t i = probe(ppn);
     if (slots_[i].ref == PageArena::kNullRef) {
         // Keep the load factor below ~2/3 so probes stay short.
@@ -142,9 +128,7 @@ PhysMem::pageFor(PAddr addr)
         slots_[i].ref = arena_->allocZeroed();
         ++used_;
         // A fresh page changes the slot table's shape, not just a
-        // ref: the dirty-page re-share can no longer mirror the
-        // source's layout.
-        markDirty(ppn);
+        // ref: a rewind can no longer mirror the source's layout.
         tableDiverged_ = true;
         return arena_->data(slots_[i].ref);
     }
@@ -241,7 +225,6 @@ PhysMem::zeroPage(Ppn ppn)
     const std::size_t i = probe(ppn);
     if (slots_[i].ref == PageArena::kNullRef)
         return;
-    ++mutationEpoch_;
     markDirty(ppn);
     if (arena_->refs(slots_[i].ref) > 1) {
         // Shared: swap in a fresh zero page instead of copying bytes
@@ -263,10 +246,8 @@ PhysMem::releaseAll()
         slot = Slot{};
     }
     used_ = 0;
-    ++mutationEpoch_;
-    shareOrigin_ = nullptr;
     dirtyPpns_.clear();
-    tableDiverged_ = false;
+    tableDiverged_ = true;
 }
 
 void
@@ -274,31 +255,6 @@ PhysMem::shareStateFrom(const PhysMem &src)
 {
     if (&src == this)
         return;
-
-    // Fast path: re-share from the same source we last shared from,
-    // with neither side's slot table diverged and the source's bytes
-    // untouched since.  Only the slots written in between (a replay
-    // window's worth, typically dozens) need re-pointing; the index
-    // itself is bit-for-bit the source's already.
-    if (shareOrigin_ == &src && shareOriginId_ == src.id_ &&
-        shareOriginEpoch_ == src.mutationEpoch_ &&
-        arena_ == src.arena_ && !tableDiverged_) {
-        for (const Ppn ppn : dirtyPpns_) {
-            const std::size_t i = probe(ppn);
-            const PageRef mine = slots_[i].ref;
-            const PageRef theirs = src.slots_[i].ref;
-            if (mine == theirs)
-                continue;
-            arena_->incref(theirs);
-            arena_->decref(mine);
-            slots_[i].ref = theirs;
-        }
-        dirtyPpns_.clear();
-        ++mutationEpoch_;
-        ++sharesFast_;
-        return;
-    }
-
     releaseAll();
     size_ = src.size_;
     arena_ = src.arena_;
@@ -309,11 +265,40 @@ PhysMem::shareStateFrom(const PhysMem &src)
         if (slot.ref != PageArena::kNullRef)
             arena_->incref(slot.ref);
     ++sharesFull_;
-    shareOrigin_ = &src;
-    shareOriginId_ = src.id_;
-    shareOriginEpoch_ = src.mutationEpoch_;
-    dirtyPpns_.clear();
     tableDiverged_ = false;
+}
+
+void
+PhysMem::rewindTo(const PhysMem &src)
+{
+    if (!logViable() || arena_ != src.arena_)
+        panic("PhysMem::rewindTo: undo log not armed against this "
+              "source");
+    // The slot table is bit-for-bit the source's (no growth, no fresh
+    // page since the share), so a logged PPN sits in the same slot on
+    // both sides.
+    for (const Ppn ppn : dirtyPpns_) {
+        const std::size_t i = probe(ppn);
+        const PageRef mine = slots_[i].ref;
+        const PageRef theirs = src.slots_[i].ref;
+        if (mine == theirs)
+            continue;
+        arena_->incref(theirs);
+        arena_->decref(mine);
+        slots_[i].ref = theirs;
+    }
+    dirtyPpns_.clear();
+    ++sharesFast_;
+}
+
+std::vector<Ppn>
+PhysMem::pages() const
+{
+    std::vector<Ppn> out;
+    for (const Slot &slot : slots_)
+        if (slot.ref != PageArena::kNullRef)
+            out.push_back(slot.ppn);
+    return out;
 }
 
 void

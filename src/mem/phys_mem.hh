@@ -138,25 +138,31 @@ class PhysMem
      * copy privately.  Own pages are released first.  Both instances
      * must belong to the same thread from here on.
      *
-     * Differential-replay fast path (DESIGN.md §15): re-sharing from
-     * the *same, unmutated* @p src this instance last shared from
-     * re-shares only the pages written since (tracked per write), so
-     * a per-replay restore costs O(pages dirtied in the window), not
-     * O(pages mapped) — the slab index is reused, not rebuilt.  Any
-     * deviation (different source, source mutated, fresh pages
-     * materialized, index grown) falls back to the full share.
+     * The share also arms this instance's undo log (DESIGN.md §17):
+     * from here on it records every page that stops being @p src's,
+     * so rewindTo(@p src) can return to the shared state by
+     * re-pointing just those pages.
      */
     void shareStateFrom(const PhysMem &src);
 
-    /** Full-share count since construction (observability/tests). */
+    /** The undo log is armed and the slot table still mirrors the
+     *  last share source, so rewindTo() would succeed. */
+    bool logViable() const { return !tableDiverged_; }
+
+    /**
+     * Return to the state of the last shareStateFrom(@p src) in
+     * O(pages written since): re-share each logged page from @p src,
+     * reuse the slot table.  Requires logViable(), and @p src must be
+     * unchanged since that share — the caller's contract (a frozen
+     * snapshot is never written).  Leaves the log armed and empty.
+     */
+    void rewindTo(const PhysMem &src);
+
+    /** Full shares since construction (observability/tests). */
     std::uint64_t sharesFull() const { return sharesFull_; }
 
-    /** Dirty-page fast-path share count (observability/tests). */
+    /** Rewinds since construction (observability/tests). */
     std::uint64_t sharesFast() const { return sharesFast_; }
-
-    /** Times dirty tracking overflowed kMaxDirtyTracked and poisoned
-     *  the fast path back to a full rebuild (observability/tests). */
-    std::uint64_t rebuildPoisons() const { return rebuildPoisons_; }
 
     /**
      * Drop every materialized page.  Slabs stay reserved in the arena
@@ -167,6 +173,10 @@ class PhysMem
 
     /** Number of pages materialized so far (for tests/stats). */
     std::size_t pagesAllocated() const { return used_; }
+
+    /** PPNs of every materialized page, in no particular order
+     *  (tests compare memories page by page). */
+    std::vector<Ppn> pages() const;
 
     /** Page slots the backing arena keeps reserved (for tests). */
     std::size_t slabPagesReserved() const
@@ -194,7 +204,7 @@ class PhysMem
     void releaseAll();
     void checkBounds(PAddr addr, std::uint64_t len) const;
 
-    /** Note @p ppn as diverged from the last share source. */
+    /** Log @p ppn as diverged from the last share source. */
     void markDirty(Ppn ppn);
 
     std::uint64_t size_;
@@ -203,27 +213,17 @@ class PhysMem
     std::size_t mask_;
     std::size_t used_ = 0;
 
-    // --- in-place re-share bookkeeping (DESIGN.md §15) -------------
-    /** Process-unique instance id; guards against a stale-pointer
-     *  (ABA) match on shareOrigin_. */
-    std::uint64_t id_;
-    /** Bumped on every own-side mutation; a share source whose epoch
-     *  moved invalidates cached dirty tracking in its targets. */
-    std::uint64_t mutationEpoch_ = 0;
-    /** Last share source (+ its id and epoch at share time). */
-    const PhysMem *shareOrigin_ = nullptr;
-    std::uint64_t shareOriginId_ = 0;
-    std::uint64_t shareOriginEpoch_ = 0;
+    // --- undo log against the last share source (DESIGN.md §17) ---
     /** PPNs whose slot diverged from the source since the share;
      *  duplicates are harmless (re-pointing a slot is idempotent). */
     std::vector<Ppn> dirtyPpns_;
-    /** Set when the slot table itself diverged (growth or fresh
-     *  materialization) — forces the full-share path. */
-    bool tableDiverged_ = false;
+    /** The slot table no longer mirrors a share source: never shared,
+     *  reset, grown, a fresh page materialized, or the dirty list
+     *  overflowed.  Only the next full share clears it. */
+    bool tableDiverged_ = true;
 
     std::uint64_t sharesFull_ = 0;
     std::uint64_t sharesFast_ = 0;
-    std::uint64_t rebuildPoisons_ = 0;
 };
 
 } // namespace uscope::mem

@@ -1,6 +1,7 @@
 #include "os/machine.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 
 #include "common/logging.hh"
@@ -27,6 +28,13 @@ configOf(const Snapshot &snap)
     if (!snap.valid())
         panic("Machine: invalid (empty or moved-from) Snapshot");
     return snap.config();
+}
+
+std::uint64_t
+nextSnapshotId()
+{
+    static std::atomic<std::uint64_t> counter{1};
+    return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
 } // namespace
@@ -74,9 +82,15 @@ Machine::copyStateFrom(const Machine &other)
 {
     if (!sameStructure(config_, other.config_))
         panic("Machine::copyStateFrom: structural config mismatch");
-    config_.seed = other.config_.seed;
     mem_.shareStateFrom(other.mem_);
     hierarchy_.copyStateFrom(other.hierarchy_);
+    copyUnloggedStateFrom(other);
+}
+
+void
+Machine::copyUnloggedStateFrom(const Machine &other)
+{
+    config_.seed = other.config_.seed;
     mmu_.copyStateFrom(other.mmu_);
     core_.copyStateFrom(other.core_);
     kernel_.copyStateFrom(other.kernel_);
@@ -101,14 +115,14 @@ Machine::snapshot() const
         if (slot && slot.use_count() == 1 &&
             sameStructure(slot->config_, config_)) {
             slot->copyStateFrom(*this);
-            return Snapshot(slot);
+            return Snapshot(slot, nextSnapshotId());
         }
     }
     auto frozen = std::make_shared<Machine>(config_);
     frozen->copyStateFrom(*this);
     scratchSnaps_[scratchNext_] = frozen;
     scratchNext_ = (scratchNext_ + 1) % scratchSnaps_.size();
-    return Snapshot(std::move(frozen));
+    return Snapshot(std::move(frozen), nextSnapshotId());
 }
 
 void
@@ -116,35 +130,20 @@ Machine::restoreFrom(const Snapshot &snap)
 {
     if (!snap.valid())
         panic("Machine::restoreFrom: invalid Snapshot");
-    copyStateFrom(*snap.frozen_);
-}
-
-bool
-Machine::journaledRestoreFrom(const Snapshot &snap)
-{
-    if (!snap.valid())
-        panic("Machine::journaledRestoreFrom: invalid Snapshot");
     const Machine &other = *snap.frozen_;
-    if (!sameStructure(config_, other.config_))
-        panic("Machine::journaledRestoreFrom: structural config "
-              "mismatch");
-    config_.seed = other.config_.seed;
-    mem_.shareStateFrom(other.mem_);
-    const bool journaled = hierarchy_.rewindJournalTo(other.hierarchy_);
-    if (!journaled) {
-        // Poisoned (invalidateAll / overflow) or never armed: pay the
-        // full copy once and re-arm for the next sibling.
-        hierarchy_.copyStateFrom(other.hierarchy_);
-        hierarchy_.beginJournal();
+    // A snapshot's frozen state never changes while any Snapshot with
+    // its id exists, so the logs armed at the last full restore of
+    // this id still describe the way back to it.
+    if (snap.id_ == restoredSnapId_ && mem_.logViable() &&
+        hierarchy_.journalViable()) {
+        mem_.rewindTo(other.mem_);
+        hierarchy_.rewindJournalTo(other.hierarchy_);
+        copyUnloggedStateFrom(other);
+        return;
     }
-    mmu_.copyStateFrom(other.mmu_);
-    core_.copyStateFrom(other.core_);
-    kernel_.copyStateFrom(other.kernel_);
-    entropy_ = other.entropy_;
-    faults_.copyStateFrom(other.faults_);
-    faults_.reanchorAt(core_.cycle());
-    obs_.trace.copyStateFrom(other.obs_.trace);
-    return journaled;
+    copyStateFrom(other);
+    hierarchy_.beginJournal();
+    restoredSnapId_ = snap.id_;
 }
 
 void
@@ -154,6 +153,7 @@ Machine::reset(const MachineConfig &config)
         panic("Machine::reset: structural config mismatch "
               "(construct a new Machine instead)");
     config_ = config;
+    restoredSnapId_ = 0;
     mem_.reset();
     hierarchy_.reset(config_.seed * 3 + 1);
     mmu_.reset();
@@ -246,14 +246,12 @@ Machine::exportMetrics(obs::MetricRegistry &registry) const
     core_.exportMetrics(registry);
     kernel_.exportMetrics(registry);
     faults_.exportMetrics(registry);
-    // COW page-sharing telemetry (DESIGN.md §15).  Like obs.trace.*,
-    // these count host-side mechanics (how a state was reached, not
-    // what it is), so deterministicFingerprint strips the
+    // Restore telemetry (DESIGN.md §17): full copies vs rewinds.  Like
+    // obs.trace.*, these count host-side mechanics (how a state was
+    // reached, not what it is), so deterministicFingerprint strips the
     // mem.physmem.* prefix.
     registry.counter("mem.physmem.shares_full").set(mem_.sharesFull());
     registry.counter("mem.physmem.shares_fast").set(mem_.sharesFast());
-    registry.counter("mem.physmem.rebuild_poisons")
-        .set(mem_.rebuildPoisons());
     // Trace-loss accounting (DESIGN.md §14): lets a campaign assert
     // "no events were overwritten" from its MetricSnapshot without
     // parsing trace files.  Only exported while tracing so untraced

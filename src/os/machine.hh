@@ -209,40 +209,21 @@ class Machine
      * machine privatized since the last restore return to the shared
      * arena's free list.
      *
-     * Repeated restores from the *same* snapshot — the differential-
-     * replay pattern, one restore per replay iteration (DESIGN.md
-     * §15) — take PhysMem's in-place fast path: only pages written
-     * since the previous restore are re-shared; the slab index is not
-     * rebuilt.  Fault schedules are defensively re-anchored at the
-     * restored cycle (FaultInjector::reanchorAt), a no-op for any
-     * consistent snapshot.
+     * The one restore path (DESIGN.md §17).  A full restore copies
+     * every component and arms two undo logs at the restored state:
+     * PhysMem's dirty-page list and the cache hierarchy's journal.
+     * Restoring the *same* snapshot again — a replay loop re-entering
+     * one episode, a pooled worker re-forking one warmup — rewinds
+     * both logs instead, O(pages and ways touched since) rather than
+     * O(memory and cache size), while every other component is
+     * copied as before.  Any other snapshot, or a log that overflowed
+     * or saw a shape change (fresh page, invalidateAll, reset()),
+     * takes the full path.  Both paths land on bit-identical state.
+     * Fault schedules are defensively re-anchored at the restored
+     * cycle (FaultInjector::reanchorAt), a no-op for any consistent
+     * snapshot.
      */
     void restoreFrom(const Snapshot &snap);
-
-    /**
-     * Arm the cache hierarchy's undo journal at the current state —
-     * the batched-replay primitive (DESIGN.md §17).  Between arming
-     * and endReplayJournal(), journaledRestoreFrom() can rewind the
-     * hierarchy to this state in O(ways touched) instead of the
-     * O(cache size) copy restoreFrom pays.  The state journalled must
-     * be the state of the snapshot later passed to
-     * journaledRestoreFrom.
-     */
-    void beginReplayJournal() { hierarchy_.beginJournal(); }
-
-    /** Disarm the journal (keeps the current state). */
-    void endReplayJournal() { hierarchy_.endJournal(); }
-
-    /**
-     * restoreFrom(@p snap), but the cache hierarchy — the dominant
-     * cost of a full restore — is rewound through the armed undo
-     * journal when viable.  The result is bit-identical to
-     * restoreFrom either way; the return value only reports which
-     * path ran (false = journal poisoned or unarmed, full copy used,
-     * journal re-armed at the restored state).  @p snap must be the
-     * state beginReplayJournal() was called at.
-     */
-    bool journaledRestoreFrom(const Snapshot &snap);
 
     /**
      * Return a pooled instance to the seed-fresh state a newly
@@ -273,6 +254,10 @@ class Machine
     /** Overwrite all mutable state with @p other's (same structure). */
     void copyStateFrom(const Machine &other);
 
+    /** The part of copyStateFrom that has no undo log: everything
+     *  but memory and the cache hierarchy. */
+    void copyUnloggedStateFrom(const Machine &other);
+
     MachineConfig config_;
     obs::Observer obs_;
     mem::PhysMem mem_;
@@ -290,6 +275,9 @@ class Machine
      */
     mutable std::array<std::shared_ptr<Machine>, 2> scratchSnaps_;
     mutable std::size_t scratchNext_ = 0;
+    /** Snapshot::id_ of the last full restore, whose state the undo
+     *  logs are armed at; 0 when none is. */
+    std::uint64_t restoredSnapId_ = 0;
     Kernel kernel_;
     Rng entropy_;   ///< Hardware RDRAND source.
     fault::FaultInjector faults_;
@@ -323,8 +311,8 @@ class Snapshot
 
   private:
     friend class Machine;
-    explicit Snapshot(std::shared_ptr<Machine> frozen)
-        : frozen_(std::move(frozen))
+    Snapshot(std::shared_ptr<Machine> frozen, std::uint64_t id)
+        : frozen_(std::move(frozen)), id_(id)
     {
     }
 
@@ -335,6 +323,12 @@ class Snapshot
      * Snapshot references it (use_count guard in Machine::snapshot).
      */
     std::shared_ptr<Machine> frozen_;
+    /**
+     * Process-unique, stamped by Machine::snapshot().  Identifies the
+     * frozen state, not the pooled clone holding it: a scratch slot
+     * reused for a later snapshot gets a new id.
+     */
+    std::uint64_t id_ = 0;
 };
 
 } // namespace uscope::os

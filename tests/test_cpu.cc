@@ -15,6 +15,7 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "cpu/core.hh"
+#include "cpu/decode.hh"
 #include "cpu/isa.hh"
 #include "cpu/ports.hh"
 #include "cpu/predictor.hh"
@@ -165,6 +166,44 @@ TEST(ProgramTest, DisassembleListsEverything)
     EXPECT_NE(listing.find("entry:"), std::string::npos);
     EXPECT_NE(listing.find("movi"), std::string::npos);
     EXPECT_NE(listing.find("halt"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Decoded stream (the one fetch/decode evaluation, DESIGN.md §17)
+// ---------------------------------------------------------------------
+
+TEST(DecodedStream, MemoizesFlagsAndClampsBeyondEnd)
+{
+    ProgramBuilder b;
+    b.movi(1, 0x1000)
+        .ld(2, 1, 0)
+        .st(1, 2, 8)
+        .fence()
+        .halt();
+    const auto program = std::make_shared<const Program>(b.build());
+    const DecodedStream &decoded = program->decoded();
+
+    EXPECT_FALSE(decoded.at(0).isMem());
+    EXPECT_TRUE(decoded.at(1).isLoad());
+    EXPECT_TRUE(decoded.at(2).isStore());
+    EXPECT_TRUE(decoded.at(3).isBarrier(false));
+    EXPECT_TRUE(decoded.at(4).isHalt());
+    // Beyond-the-end clamps to a decoded Halt, mirroring Program::at.
+    EXPECT_TRUE(decoded.at(10'000).isHalt());
+}
+
+TEST(DecodedStream, OneStreamDrivesEveryContext)
+{
+    // Contexts running the same Program read the same decode table —
+    // pointer-identical, not merely equal.
+    CoreRig rig;
+    const auto program = std::make_shared<const Program>(
+        ProgramBuilder{}.movi(1, 1).halt().build());
+    for (unsigned ctx = 0; ctx < 2; ++ctx) {
+        rig.core.startContext(ctx, program, 0, 1, rig.table.root(), 0);
+        EXPECT_EQ(&rig.core.contextProgram(ctx)->decoded(),
+                  &program->decoded());
+    }
 }
 
 // ---------------------------------------------------------------------

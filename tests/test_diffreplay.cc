@@ -18,6 +18,11 @@
  *    driven through the generic Machine snapshot/restore/reseed
  *    pattern at a retired-instruction boundary, exercising mid-
  *    program restores of transactional and branch-predictor state.
+ *
+ * Every iteration after the first restores the same snapshot, so the
+ * matrix also holds Machine::restoreFrom's undo-log rewind to cold
+ * resimulation (DESIGN.md §17).  The replay-seed formula is pinned
+ * here too.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +35,7 @@
 #include "attack/victims.hh"
 #include "common/logging.hh"
 #include "core/microscope.hh"
+#include "core/replay_batch.hh"
 #include "cpu/program.hh"
 #include "exp/campaign.hh"
 #include "fault/plan.hh"
@@ -518,9 +524,9 @@ TEST(DiffReplayEngine, CrossInstanceRestoreMatchesInPlace)
 
 TEST(DiffReplayEngine, PhysMemFastReshare)
 {
-    // Repeated restores from one frozen snapshot take PhysMem's
-    // in-place dirty-page path after the first full share, and the
-    // fast path is bit-identical to the full one.
+    // Repeated restores from one frozen snapshot rewind PhysMem's
+    // dirty-page log after the first full share, and the rewind is
+    // bit-identical to the full share.
     os::Machine m;
     auto &kernel = m.kernel();
     const PfVictim victim = makePfVictim(kernel);
@@ -530,7 +536,7 @@ TEST(DiffReplayEngine, PhysMemFastReshare)
     const os::Snapshot snap = m.snapshot();
 
     const std::uint64_t full_before = m.mem().sharesFull();
-    m.restoreFrom(snap);  // first share: full (no tracked origin yet)
+    m.restoreFrom(snap);  // first restore of this snapshot: full
     EXPECT_EQ(m.mem().sharesFull(), full_before + 1);
 
     std::vector<Cycles> halts;
@@ -538,12 +544,66 @@ TEST(DiffReplayEngine, PhysMemFastReshare)
         const std::uint64_t fast_before = m.mem().sharesFast();
         m.restoreFrom(snap);
         EXPECT_EQ(m.mem().sharesFast(), fast_before + 1)
-            << "restore " << i << " should take the fast path";
+            << "restore " << i << " should rewind";
         m.reseed(1000 + static_cast<std::uint64_t>(i % 2));
         kernel.startOnContext(victim.pid, 0, victim.program);
         ASSERT_TRUE(m.runUntilHalted(0, kRunBudget));
         halts.push_back(m.cycle());
     }
+    EXPECT_EQ(m.mem().sharesFull(), full_before + 1);
     // Seeds 1000/1001/1000: runs 0 and 2 are bit-identical.
     EXPECT_EQ(halts[0], halts[2]);
+}
+
+TEST(DiffReplayEngine, LaterEpisodeRestoresRewind)
+{
+    // The first restoreEpisode copies the machine and arms its undo
+    // logs; every later one rewinds them.
+    constexpr std::uint64_t kRestores = 4;
+    os::Machine m;
+    ms::Microscope scope(m);
+    const PfVictim victim = makePfVictim(m.kernel());
+    ms::AttackRecipe recipe;
+    recipe.victim = victim.pid;
+    recipe.replayHandle = victim.handle;
+    recipe.confidence = 2;
+    recipe.maxEpisodes = 1;
+    recipe.differentialReplay = true;
+    scope.setRecipe(std::move(recipe));
+    scope.arm();
+    m.kernel().startOnContext(victim.pid, 0, victim.program);
+    ASSERT_TRUE(m.runUntil([&]() { return scope.episodeSnapshotPending(); },
+                           kRunBudget));
+    scope.takeEpisodeSnapshot();
+
+    const std::uint64_t full_before = m.mem().sharesFull();
+    const std::uint64_t fast_before = m.mem().sharesFast();
+    for (std::uint64_t i = 0; i < kRestores; ++i) {
+        scope.restoreEpisode(ms::deriveReplaySeed(21, i));
+        ASSERT_TRUE(m.runUntilHalted(0, kRunBudget));
+    }
+    EXPECT_EQ(m.mem().sharesFull(), full_before + 1);
+    EXPECT_EQ(m.mem().sharesFast(), fast_before + kRestores - 1);
+}
+
+// --------------------------------------------------------------------
+// Sibling seeds.
+// --------------------------------------------------------------------
+
+TEST(ReplaySeed, MatchesGoldenValues)
+{
+    // Every replay campaign's fingerprint hangs off these values: a
+    // formula change must show up here, not as silent drift.
+    EXPECT_EQ(ms::deriveReplaySeed(0, 0), 0xEE5D74EA4DC02260ull);
+    EXPECT_EQ(ms::deriveReplaySeed(1, 1), 0x16623A756F2A1855ull);
+    EXPECT_EQ(ms::deriveReplaySeed(0x123456789ABCDEF0ull, 23),
+              0x3BD13564CDE4B5F6ull);
+}
+
+TEST(ReplaySeed, CampaignLayerForwards)
+{
+    for (const std::uint64_t trial : {0ull, 7ull, 0xFEEDFACEull})
+        for (std::uint64_t i = 0; i < 4; ++i)
+            EXPECT_EQ(exp::deriveReplaySeed(trial, i),
+                      ms::deriveReplaySeed(trial, i));
 }

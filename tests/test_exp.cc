@@ -800,6 +800,29 @@ TEST(Checkpoint, MalformedTrialFilesAreRejected)
     EXPECT_FALSE(exp::CampaignCheckpoint::parseTrial(
                      text.substr(0, text.size() / 2))
                      .has_value());
+
+    // Corruptions that keep the record's shape.
+    const auto replaced = [&text](const std::string &from,
+                                  const std::string &to) {
+        const std::size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        std::string out = text;
+        return out.replace(at, from.size(), to);
+    };
+    for (const std::string &bad : {
+             // A signed index would wrap to 2^64 - 1.
+             replaced("\nindex 0\n", "\nindex -1\n"),
+             // Out of range, not saturated.
+             replaced("\nsim_cycles 0\n",
+                      "\nsim_cycles 99999999999999999999999\n"),
+             // A blob length that wraps the bounds check.
+             replaced("\nerror 0\n", "\nerror 18446744073709551615\n"),
+             // Bytes after the closing token.
+             text + "index 7\n",
+         }) {
+        EXPECT_FALSE(exp::CampaignCheckpoint::parseTrial(bad).has_value())
+            << bad;
+    }
 }
 
 namespace

@@ -8,6 +8,11 @@
  *  - **COW isolation.** PhysMem instances sharing an arena via
  *    shareStateFrom() never observe each other's writes, and sharing
  *    allocates nothing until a write actually diverges a page.
+ *  - **Restore rewind.** Restoring the snapshot a machine last
+ *    restored rewinds its undo logs; the result — cache state, every
+ *    page's bytes, and the run that follows — equals a full copy, and
+ *    any other snapshot, a recycled snapshot clone, a fresh page or a
+ *    reset() takes the full copy (DESIGN.md §17).
  *  - **Pooled reset.** Machine::reset() lands bit-identically on the
  *    state a freshly constructed Machine would have — every RNG
  *    stream, stat, and metric — while keeping its page slabs.
@@ -26,7 +31,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -272,6 +279,143 @@ TEST(MachineFork, StructuralMismatchIsRejected)
     os::MachineConfig other = machine.config();
     other.core.numContexts = machine.config().core.numContexts + 1;
     EXPECT_THROW(machine.reset(other), std::exception);
+}
+
+// ---------------------------------------------------------------------
+// Restore: the undo-log rewind against a full copy as the oracle.
+// ---------------------------------------------------------------------
+
+/** Every materialized page of @p m, keyed by PPN. */
+std::map<Ppn, std::vector<std::uint8_t>>
+pageBytes(os::Machine &m)
+{
+    std::map<Ppn, std::vector<std::uint8_t>> out;
+    for (const Ppn ppn : m.mem().pages()) {
+        std::vector<std::uint8_t> bytes(pageSize);
+        m.mem().readBytes(ppn << pageShift, bytes.data(), pageSize);
+        out.emplace(ppn, std::move(bytes));
+    }
+    return out;
+}
+
+/** Restore counters of @p m: {full copies, rewinds}. */
+std::pair<std::uint64_t, std::uint64_t>
+restoreCounts(os::Machine &m)
+{
+    return {m.mem().sharesFull(), m.mem().sharesFast()};
+}
+
+TEST(RestoreRewind, RewindEqualsFullCopy)
+{
+    os::MachineConfig config;
+    config.seed = 7001;
+    os::Machine m(config);
+    const Victim victim = buildVictim(m);
+    const os::Snapshot snap = m.snapshot();
+
+    m.restoreFrom(snap);
+    runBody(m, victim, 1);
+    const auto before = restoreCounts(m);
+    m.restoreFrom(snap);
+    ASSERT_EQ(restoreCounts(m),
+              std::make_pair(before.first, before.second + 1))
+        << "the second restore of one snapshot must rewind";
+
+    // Oracle: a machine built from the snapshot by the full copy.
+    os::Machine oracle(snap);
+    EXPECT_EQ(m.cycle(), oracle.cycle());
+    EXPECT_EQ(m.hierarchy().stateDigest(),
+              oracle.hierarchy().stateDigest());
+    EXPECT_EQ(pageBytes(m), pageBytes(oracle));
+
+    // And the rewound machine runs on exactly like the copy.
+    m.reseed(2);
+    oracle.reseed(2);
+    runBody(m, victim, 2);
+    runBody(oracle, victim, 2);
+    EXPECT_EQ(stateFingerprint(m), stateFingerprint(oracle));
+}
+
+TEST(RestoreRewind, AlternatingSnapshotsTakeTheFullPath)
+{
+    os::MachineConfig config;
+    config.seed = 7001;
+    os::Machine m(config);
+    const Victim victim = buildVictim(m);
+    const os::Snapshot a = m.snapshot();
+    runBody(m, victim, 1);
+    const os::Snapshot b = m.snapshot();
+
+    const auto before = restoreCounts(m);
+    m.restoreFrom(a);
+    m.restoreFrom(b);
+    m.restoreFrom(a);
+    EXPECT_EQ(restoreCounts(m),
+              std::make_pair(before.first + 3, before.second));
+    os::Machine oracle(a);
+    EXPECT_EQ(m.hierarchy().stateDigest(),
+              oracle.hierarchy().stateDigest());
+    EXPECT_EQ(pageBytes(m), pageBytes(oracle));
+}
+
+TEST(RestoreRewind, RecycledScratchSlotTakesTheFullPath)
+{
+    // A dropped snapshot's frozen clone is reused for the next
+    // snapshot.  That snapshot holds different state in the same
+    // clone, so a restore from it must not rewind logs armed at the
+    // first one.
+    os::MachineConfig config;
+    config.seed = 7001;
+    os::Machine m(config);
+    const Victim victim = buildVictim(m);
+    std::optional<os::Snapshot> first = m.snapshot();
+    m.restoreFrom(*first);
+    first.reset();
+    runBody(m, victim, 1);
+    const os::Snapshot second = m.snapshot();
+    runBody(m, victim, 2);
+
+    const auto before = restoreCounts(m);
+    m.restoreFrom(second);
+    EXPECT_EQ(restoreCounts(m),
+              std::make_pair(before.first + 1, before.second));
+    os::Machine oracle(second);
+    EXPECT_EQ(m.cycle(), oracle.cycle());
+    EXPECT_EQ(m.hierarchy().stateDigest(),
+              oracle.hierarchy().stateDigest());
+    EXPECT_EQ(pageBytes(m), pageBytes(oracle));
+}
+
+TEST(RestoreRewind, FreshPageOrResetForcesTheFullPath)
+{
+    os::MachineConfig config;
+    config.seed = 7001;
+    os::Machine m(config);
+    buildVictim(m);
+    const os::Snapshot snap = m.snapshot();
+    m.restoreFrom(snap);
+
+    // A page the snapshot never materialized changes the slot table's
+    // shape: the dirty-page log can no longer mirror the snapshot.
+    const PAddr fresh = PAddr{0xF000} << pageShift;
+    ASSERT_EQ(m.mem().read64(fresh), 0u);
+    const std::size_t pages = m.mem().pagesAllocated();
+    m.mem().write64(fresh, 1);
+    ASSERT_EQ(m.mem().pagesAllocated(), pages + 1);
+    auto before = restoreCounts(m);
+    m.restoreFrom(snap);
+    EXPECT_EQ(restoreCounts(m),
+              std::make_pair(before.first + 1, before.second));
+    EXPECT_EQ(m.mem().read64(fresh), 0u);
+    os::Machine oracle(snap);
+    EXPECT_EQ(pageBytes(m), pageBytes(oracle));
+
+    // reset() drops both logs.
+    m.reset();
+    before = restoreCounts(m);
+    m.restoreFrom(snap);
+    EXPECT_EQ(restoreCounts(m),
+              std::make_pair(before.first + 1, before.second));
 }
 
 // ---------------------------------------------------------------------
