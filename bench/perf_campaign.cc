@@ -31,14 +31,14 @@
  *     arm is not at least as fast; the paper-repro target is >= 2x).
  *     `--prefix-cache={on,off}` / `--pool={on,off}` pin one arm.
  *  5. **Observability A/B** (DESIGN.md §14) — section 2's
- *     fast-forward-on campaign at --obs=off/metrics/trace/full.
- *     Observation must never perturb results: all four deterministic
- *     fingerprints must be byte-identical (hard failure), and the
- *     wall-clock overhead of --obs=metrics over --obs=off — the
- *     median ratio of interleaved off/metrics pairs — is gated at
- *     <= 1.10x.  The trace arms spill per-trial event logs and the
- *     section merges them (obs::mergeChromeTraces) into one Perfetto
- *     trace.  Results land in
+ *     fast-forward-on campaign at --obs=off/metrics/trace.
+ *     Observation must never perturb results: every arm's
+ *     deterministic fingerprint must be byte-identical (hard
+ *     failure), and the wall-clock overhead of --obs=metrics over
+ *     --obs=off — the median ratio of interleaved off/metrics pairs —
+ *     is gated at <= 1.10x.  The trace arm's per-trial event logs are
+ *     merged (obs::mergeChromeTraces) into one Perfetto trace,
+ *     bench-results/perf_campaign_obs.trace.json.  Results land in
  *     bench-results/BENCH_obs.json; `--obs=LEVEL` pins one arm.
  *  6. **Differential-replay A/B** (DESIGN.md §15) — a denoise-shaped
  *     arm: each trial re-enters one confidence-2 episode several
@@ -67,7 +67,6 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
@@ -481,17 +480,18 @@ struct ObsArm
     std::string fingerprint;
     bool hasProf = false;
     bool ok = false;
+    /** The arm's trials merged into one Chrome trace (Trace only). */
+    exp::json::Value mergedTrace;
 };
 
 /** The section-2 fast-forward-on campaign at one obs level. */
 ObsArm
-runObsArm(obs::ObsLevel level, const std::string &spill_dir)
+runObsArm(obs::ObsLevel level)
 {
     const std::string name =
         std::string("perf_campaign_obs_") + obs::obsLevelName(level);
     exp::CampaignSpec spec = fig11StyleSpec(name.c_str(), 1, true);
     spec.obsLevel = level;
-    spec.traceSpillDir = spill_dir; // runner ignores it below Trace
     const exp::CampaignResult result = exp::runCampaign(spec);
 
     ObsArm arm;
@@ -502,6 +502,12 @@ runObsArm(obs::ObsLevel level, const std::string &spill_dir)
     arm.fingerprint = deterministicFingerprint(result);
     arm.hasProf = !result.prof.empty();
     arm.ok = result.aggregate.ok == fig11Trials;
+    if (level >= obs::ObsLevel::Trace) {
+        std::vector<const obs::EventLog *> logs;
+        for (const exp::TrialResult &trial : result.trials)
+            logs.push_back(&trial.output.trace);
+        arm.mergedTrace = obs::mergeChromeTraces(logs);
+    }
     return arm;
 }
 
@@ -511,19 +517,12 @@ obsSection(std::optional<obs::ObsLevel> pinned)
 {
     std::printf("\n==============================================================\n");
     std::printf("Observability A/B: fig11_aes_replay at "
-                "--obs=off/metrics/trace/full, %zu trials\n",
+                "--obs=off/metrics/trace, %zu trials\n",
                 fig11Trials);
     std::printf("==============================================================\n\n");
 
-    const std::string spillBase =
-        "bench-results/perf_campaign_obs_spills";
-
     if (pinned) {
-        std::error_code ec;
-        std::filesystem::remove_all(spillBase, ec);
-        const ObsArm arm = runObsArm(
-            *pinned, *pinned >= obs::ObsLevel::Trace ? spillBase
-                                                     : std::string());
+        const ObsArm arm = runObsArm(*pinned);
         std::printf("obs=%-8s %6.2fs wall, %5.1f trials/s, "
                     "fingerprint %s\n",
                     arm.name, arm.wallSeconds, arm.trialsPerSec,
@@ -533,17 +532,15 @@ obsSection(std::optional<obs::ObsLevel> pinned)
 
     // The overhead gate: off/metrics pairs, alternating which arm
     // runs first so drift in host speed cancels; the median ratio is
-    // gated.  Then one trace and one full arm.
+    // gated.  Then one trace arm.
     std::vector<ObsArm> arms;
     std::vector<double> ratios;
     for (std::size_t pair = 0; pair < obsOverheadPairs; ++pair) {
         const bool offFirst = pair % 2 == 0;
         ObsArm first = runObsArm(offFirst ? obs::ObsLevel::Off
-                                          : obs::ObsLevel::Metrics,
-                                 std::string());
+                                          : obs::ObsLevel::Metrics);
         ObsArm second = runObsArm(offFirst ? obs::ObsLevel::Metrics
-                                           : obs::ObsLevel::Off,
-                                  std::string());
+                                           : obs::ObsLevel::Off);
         const ObsArm &off = offFirst ? first : second;
         const ObsArm &metrics = offFirst ? second : first;
         ratios.push_back(off.wallSeconds > 0.0
@@ -557,14 +554,7 @@ obsSection(std::optional<obs::ObsLevel> pinned)
         arms.push_back(std::move(first));
         arms.push_back(std::move(second));
     }
-    for (const obs::ObsLevel level :
-         {obs::ObsLevel::Trace, obs::ObsLevel::Full}) {
-        const std::string dir =
-            spillBase + "_" + std::string(obs::obsLevelName(level));
-        std::error_code ec;
-        std::filesystem::remove_all(dir, ec);
-        arms.push_back(runObsArm(level, dir));
-    }
+    arms.push_back(runObsArm(obs::ObsLevel::Trace));
     for (const ObsArm &arm : arms)
         std::printf("obs=%-8s %6.2fs wall, %5.1f trials/s, prof %s, "
                     "fingerprint %s\n",
@@ -597,20 +587,15 @@ obsSection(std::optional<obs::ObsLevel> pinned)
                 overhead, ratios.size(), sorted.front(), sorted.back(),
                 obsOverheadGate);
 
-    // Merge the trace arm's spills into one trace (worker 0 only, one
-    // pid lane).
-    std::vector<obs::TraceSpill> spills =
-        obs::loadTraceSpills(spillBase + "_trace");
-    const std::size_t spillCount = spills.size();
+    // The trace arm's merged document: one track group per trial.
+    const exp::json::Value &merged = arms.back().mergedTrace;
+    const std::size_t tracedTrials =
+        merged.get("otherData")->get("trials")->asU64();
     const std::string mergedPath =
         "bench-results/perf_campaign_obs.trace.json";
-    if (!spills.empty())
-        writeTextFile(mergedPath,
-                      obs::mergeChromeTraces(std::move(spills)));
-    std::printf("trace arm spilled %zu/%zu trials; merged trace: "
-                "%s\n",
-                spillCount, fig11Trials,
-                spillCount ? mergedPath.c_str() : "(none)");
+    writeTextFile(mergedPath, merged.dump());
+    std::printf("trace arm: %zu/%zu trials in the merged trace %s\n",
+                tracedTrials, fig11Trials, mergedPath.c_str());
 
     exp::json::Value pairsJson = exp::json::Value::array();
     for (const double ratio : ratios)
@@ -637,12 +622,12 @@ obsSection(std::optional<obs::ObsLevel> pinned)
             .set("overhead_gate", obsOverheadGate)
             .set("fingerprints_identical", identical)
             .set("fingerprint", fnv1aHex(arms[0].fingerprint))
-            .set("trace_spills", std::uint64_t{spillCount})
+            .set("merged_trace_trials", std::uint64_t{tracedTrials})
             .set("arms", std::move(armsJson));
     writeTextFile("bench-results/BENCH_obs.json", bench.dump());
     std::printf("bench JSON: bench-results/BENCH_obs.json\n");
 
-    return ok && identical && profGated && spillCount == fig11Trials &&
+    return ok && identical && profGated && tracedTrials == fig11Trials &&
            overhead > 0.0 && overhead <= obsOverheadGate;
 }
 

@@ -1,11 +1,7 @@
 /**
  * @file
- * Durable filesystem primitives shared by every layer that persists
- * state: campaign checkpoints (src/exp) and the observability trace
- * spills (src/obs).  Moved
- * here from exp/checkpoint so obs can use them without depending on
- * the experiment layer (the same exp -> common promotion the JSON
- * library went through).
+ * Durable filesystem primitives for every layer that persists state:
+ * campaign checkpoints and result files (src/exp).
  */
 
 #ifndef USCOPE_COMMON_FSIO_HH

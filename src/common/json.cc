@@ -1,8 +1,6 @@
 #include "common/json.hh"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/logging.hh"
 
@@ -117,278 +115,6 @@ Value::entries() const
 {
     static const std::vector<std::pair<std::string, Value>> empty;
     return type_ == Type::Object ? object_ : empty;
-}
-
-namespace
-{
-
-/**
- * Recursive-descent parser.  Every method clears `ok` on malformed
- * input instead of throwing; parse() checks once at the end.
- */
-struct Parser
-{
-    const std::string &s;
-    std::size_t pos = 0;
-    bool ok = true;
-    /** Deep nesting is an attack surface (stack exhaustion from a
-     *  hostile client frame), not a real workload; bound it. */
-    static constexpr int maxDepth = 96;
-
-    void
-    skipSpace()
-    {
-        while (pos < s.size() &&
-               (s[pos] == ' ' || s[pos] == '\t' || s[pos] == '\n' ||
-                s[pos] == '\r'))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipSpace();
-        if (pos < s.size() && s[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const std::size_t n = std::char_traits<char>::length(word);
-        if (s.compare(pos, n, word) != 0)
-            return false;
-        pos += n;
-        return true;
-    }
-
-    /** One \uXXXX escape (possibly a surrogate pair) to UTF-8. */
-    void
-    appendUnicodeEscape(std::string &out)
-    {
-        const auto hex4 = [&]() -> std::uint32_t {
-            std::uint32_t v = 0;
-            for (int i = 0; i < 4; ++i) {
-                if (pos >= s.size())
-                    return ok = false, 0u;
-                const char c = s[pos++];
-                v <<= 4;
-                if (c >= '0' && c <= '9')
-                    v |= static_cast<std::uint32_t>(c - '0');
-                else if (c >= 'a' && c <= 'f')
-                    v |= static_cast<std::uint32_t>(c - 'a' + 10);
-                else if (c >= 'A' && c <= 'F')
-                    v |= static_cast<std::uint32_t>(c - 'A' + 10);
-                else
-                    return ok = false, 0u;
-            }
-            return v;
-        };
-        std::uint32_t cp = hex4();
-        if (!ok)
-            return;
-        if (cp >= 0xD800 && cp <= 0xDBFF) {
-            // High surrogate: require the paired \uXXXX low half.
-            if (!(pos + 1 < s.size() && s[pos] == '\\' &&
-                  s[pos + 1] == 'u')) {
-                ok = false;
-                return;
-            }
-            pos += 2;
-            const std::uint32_t low = hex4();
-            if (!ok || low < 0xDC00 || low > 0xDFFF) {
-                ok = false;
-                return;
-            }
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-        } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-            ok = false; // unpaired low surrogate
-            return;
-        }
-        if (cp < 0x80) {
-            out += static_cast<char>(cp);
-        } else if (cp < 0x800) {
-            out += static_cast<char>(0xC0 | (cp >> 6));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
-        } else if (cp < 0x10000) {
-            out += static_cast<char>(0xE0 | (cp >> 12));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
-        } else {
-            out += static_cast<char>(0xF0 | (cp >> 18));
-            out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
-        }
-    }
-
-    std::string
-    string()
-    {
-        std::string out;
-        if (pos >= s.size() || s[pos] != '"')
-            return ok = false, out;
-        ++pos;
-        while (pos < s.size()) {
-            const char c = s[pos];
-            if (c == '"') {
-                ++pos;
-                return out;
-            }
-            if (c == '\\') {
-                ++pos;
-                if (pos >= s.size())
-                    return ok = false, out;
-                switch (s[pos++]) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'n': out += '\n'; break;
-                  case 'r': out += '\r'; break;
-                  case 't': out += '\t'; break;
-                  case 'u': appendUnicodeEscape(out); break;
-                  default: ok = false; return out;
-                }
-                if (!ok)
-                    return out;
-            } else if (static_cast<unsigned char>(c) < 0x20) {
-                return ok = false, out; // bare control character
-            } else {
-                out += c;
-                ++pos;
-            }
-        }
-        ok = false; // unterminated
-        return out;
-    }
-
-    Value
-    number()
-    {
-        const std::size_t start = pos;
-        bool negative = false;
-        bool integral = true;
-        if (pos < s.size() && s[pos] == '-') {
-            negative = true;
-            ++pos;
-        }
-        while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9')
-            ++pos;
-        if (pos < s.size() && s[pos] == '.') {
-            integral = false;
-            ++pos;
-            while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9')
-                ++pos;
-        }
-        if (pos < s.size() && (s[pos] == 'e' || s[pos] == 'E')) {
-            integral = false;
-            ++pos;
-            if (pos < s.size() && (s[pos] == '+' || s[pos] == '-'))
-                ++pos;
-            while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9')
-                ++pos;
-        }
-        const std::string text = s.substr(start, pos - start);
-        if (text.empty() || text == "-")
-            return ok = false, Value{};
-        errno = 0;
-        char *end = nullptr;
-        if (integral && !negative) {
-            const std::uint64_t v =
-                std::strtoull(text.c_str(), &end, 10);
-            if (end == text.c_str() + text.size() && errno == 0)
-                return Value{v};
-        } else if (integral) {
-            const std::int64_t v = std::strtoll(text.c_str(), &end, 10);
-            if (end == text.c_str() + text.size() && errno == 0)
-                return Value{v};
-        }
-        errno = 0;
-        const double d = std::strtod(text.c_str(), &end);
-        if (end != text.c_str() + text.size())
-            return ok = false, Value{};
-        return Value{d};
-    }
-
-    Value
-    value(int depth)
-    {
-        if (depth > maxDepth)
-            return ok = false, Value{};
-        skipSpace();
-        if (pos >= s.size())
-            return ok = false, Value{};
-        switch (s[pos]) {
-          case '{': {
-            ++pos;
-            Value out = Value::object();
-            if (consume('}'))
-                return out;
-            do {
-                skipSpace();
-                std::string key = string();
-                if (!ok || !consume(':'))
-                    return ok = false, Value{};
-                Value member = value(depth + 1);
-                if (!ok)
-                    return Value{};
-                out.set(std::move(key), std::move(member));
-            } while (consume(','));
-            if (!consume('}'))
-                ok = false;
-            return out;
-          }
-          case '[': {
-            ++pos;
-            Value out = Value::array();
-            if (consume(']'))
-                return out;
-            do {
-                Value element = value(depth + 1);
-                if (!ok)
-                    return Value{};
-                out.push(std::move(element));
-            } while (consume(','));
-            if (!consume(']'))
-                ok = false;
-            return out;
-          }
-          case '"':
-            return Value{string()};
-          case 't':
-            if (literal("true"))
-                return Value{true};
-            return ok = false, Value{};
-          case 'f':
-            if (literal("false"))
-                return Value{false};
-            return ok = false, Value{};
-          case 'n':
-            if (literal("null"))
-                return Value{};
-            return ok = false, Value{};
-          default:
-            return number();
-        }
-    }
-};
-
-} // namespace
-
-std::optional<Value>
-Value::parse(const std::string &text)
-{
-    Parser p{text};
-    Value v = p.value(0);
-    p.skipSpace();
-    if (!p.ok || p.pos != text.size())
-        return std::nullopt;
-    return v;
 }
 
 std::size_t

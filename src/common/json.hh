@@ -1,11 +1,10 @@
 /**
  * @file
- * A minimal, dependency-free JSON value + writer/reader shared by
- * result export (src/exp) and observability export (src/obs).  The
- * reader — parse() and the read accessors below — exists for trace
- * spill files (obs::loadTraceSpills), which a campaign writes and
- * obs::mergeChromeTraces reads back.  Result export remains
- * write-only: nothing in the simulator parses its own reports back in.
+ * A minimal, dependency-free JSON value and writer shared by result
+ * export (src/exp) and observability export (src/obs).  Export is
+ * write-only: nothing in the simulator parses JSON back in.  The read
+ * accessors below let tests (and callers) inspect a document built in
+ * memory, such as obs::mergeChromeTraces' merged campaign trace.
  *
  * Objects preserve insertion order so dumps are deterministic and
  * diffable; non-finite doubles serialize as null (JSON has no NaN).
@@ -15,7 +14,6 @@
 #define USCOPE_COMMON_JSON_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,9 +68,9 @@ class Value
     }
 
     // -----------------------------------------------------------------
-    // Read accessors (a parsed value's view).
+    // Read accessors.
     // All are total: a kind mismatch returns the fallback / an empty
-    // container instead of throwing, so message handlers reduce to
+    // container instead of throwing, so a reader reduces to
     // straight-line reads followed by validity checks.
     // -----------------------------------------------------------------
 
@@ -94,16 +92,6 @@ class Value
 
     /** Object members in insertion order (empty for non-objects). */
     const std::vector<std::pair<std::string, Value>> &entries() const;
-
-    /**
-     * Parse one JSON document (the inverse of dump() for everything
-     * but Raw, which parses as whatever it serialized).  Returns
-     * nullopt on malformed input — truncation, trailing garbage,
-     * invalid escapes, nesting deeper than an internal sanity bound.
-     * Integral numbers parse as Uint (or Int when negative); anything
-     * with a fraction or exponent parses as Double.
-     */
-    static std::optional<Value> parse(const std::string &text);
 
     /** Object insert (keeps insertion order); returns *this to chain. */
     Value &set(std::string key, Value v);

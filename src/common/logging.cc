@@ -1,10 +1,6 @@
 #include "common/logging.hh"
 
 #include <cstdio>
-#include <cstdint>
-#include <mutex>
-#include <set>
-#include <vector>
 
 namespace uscope
 {
@@ -83,116 +79,6 @@ inform(const char *fmt, ...)
     std::string msg = vformat(fmt, ap);
     va_end(ap);
     emit("info", stdout, msg);
-}
-
-namespace
-{
-
-/**
- * Registry state shared by every Trace instance.  Function-local so
- * namespace-scope `const Trace` objects in other translation units can
- * register during static initialization without an ordering hazard.
- */
-struct TraceRegistry
-{
-    std::mutex lock;
-    std::set<std::string> categories;
-    std::vector<const Trace *> instances;
-    /** Serializes print() output so lines never interleave. */
-    std::mutex printLock;
-};
-
-TraceRegistry &
-registry()
-{
-    static TraceRegistry instance;
-    return instance;
-}
-
-bool
-categoryEnabledLocked(const TraceRegistry &reg,
-                      const std::string &category)
-{
-    return reg.categories.count("*") > 0 ||
-           reg.categories.count(category) > 0;
-}
-
-} // anonymous namespace
-
-/** Grants the registry access to each instance's cached flag. */
-struct TraceRegistryAccess
-{
-    static void
-    refresh(const Trace &trace, bool enabled)
-    {
-        trace.enabled_.store(enabled, std::memory_order_relaxed);
-    }
-
-    static void
-    refreshAllLocked(TraceRegistry &reg)
-    {
-        for (const Trace *trace : reg.instances)
-            refresh(*trace,
-                    categoryEnabledLocked(reg, trace->category()));
-    }
-};
-
-Trace::Trace(std::string category) : category_(std::move(category))
-{
-    TraceRegistry &reg = registry();
-    std::lock_guard<std::mutex> guard(reg.lock);
-    reg.instances.push_back(this);
-    TraceRegistryAccess::refresh(*this,
-                                 categoryEnabledLocked(reg, category_));
-}
-
-Trace::~Trace()
-{
-    TraceRegistry &reg = registry();
-    std::lock_guard<std::mutex> guard(reg.lock);
-    std::erase(reg.instances, this);
-}
-
-void
-Trace::print(std::uint64_t cycle, const char *fmt, ...) const
-{
-    if (!enabled())
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    std::lock_guard<std::mutex> guard(registry().printLock);
-    std::fprintf(stderr, "%10llu: %s: %s\n",
-                 static_cast<unsigned long long>(cycle),
-                 category_.c_str(), msg.c_str());
-}
-
-void
-Trace::enable(const std::string &category)
-{
-    TraceRegistry &reg = registry();
-    std::lock_guard<std::mutex> guard(reg.lock);
-    reg.categories.insert(category);
-    TraceRegistryAccess::refreshAllLocked(reg);
-}
-
-void
-Trace::disable(const std::string &category)
-{
-    TraceRegistry &reg = registry();
-    std::lock_guard<std::mutex> guard(reg.lock);
-    reg.categories.erase(category);
-    TraceRegistryAccess::refreshAllLocked(reg);
-}
-
-void
-Trace::disableAll()
-{
-    TraceRegistry &reg = registry();
-    std::lock_guard<std::mutex> guard(reg.lock);
-    reg.categories.clear();
-    TraceRegistryAccess::refreshAllLocked(reg);
 }
 
 } // namespace uscope

@@ -10,30 +10,14 @@
  *  - warn():   something may be modelled imprecisely; keep going.
  *  - inform(): normal operating status.
  *
- * A lightweight trace facility (Trace) lets components emit per-cycle
- * event logs gated by named categories; it is off by default so benches
- * run at full speed.
- *
- * Thread-safety contract (campaign workers run concurrent Machines):
- *  - The global category set is guarded by an internal mutex;
- *    enable()/disable()/disableAll() may be called from any thread.
- *  - Trace::enabled() is a single relaxed atomic load — lock-free, so
- *    hot simulation paths never contend on the category registry.
- *    Each live Trace instance caches its own enabled flag; the
- *    category mutators walk the instance registry and refresh every
- *    cached flag under the lock.
- *  - print() serializes its final write so concurrent trace lines
- *    never interleave mid-line.
- *  - A Trace object itself must not be destroyed concurrently with a
- *    category mutation that could observe it; in practice Trace
- *    instances are namespace-scope constants or per-Machine members,
- *    both of which satisfy this.
+ * warn() and inform() write one line each (stderr / stdout); a line
+ * is a single fprintf, so concurrent campaign workers never interleave
+ * mid-line.
  */
 
 #ifndef USCOPE_COMMON_LOGGING_HH
 #define USCOPE_COMMON_LOGGING_HH
 
-#include <atomic>
 #include <cstdarg>
 #include <stdexcept>
 #include <string>
@@ -73,45 +57,6 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Report normal operating status. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/**
- * Per-category trace gate.  Components construct one with a category
- * name; Trace::enable()/disable() flips categories globally by name
- * ("*" matches all).
- */
-class Trace
-{
-  public:
-    explicit Trace(std::string category);
-    ~Trace();
-
-    Trace(const Trace &) = delete;
-    Trace &operator=(const Trace &) = delete;
-
-    /** True when this category is currently enabled (lock-free). */
-    bool enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-
-    const std::string &category() const { return category_; }
-
-    /** Emit one trace line, prefixed by the cycle and category. */
-    void print(std::uint64_t cycle, const char *fmt, ...) const
-        __attribute__((format(printf, 3, 4)));
-
-    static void enable(const std::string &category);
-    static void disable(const std::string &category);
-    static void disableAll();
-
-  private:
-    friend struct TraceRegistryAccess;
-
-    std::string category_;
-    /** Cached gate, refreshed under the registry lock by the static
-     *  mutators; mutable so `const Trace` globals stay valid. */
-    mutable std::atomic<bool> enabled_{false};
-};
 
 } // namespace uscope
 

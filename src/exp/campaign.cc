@@ -10,16 +10,12 @@
 #include "common/random.hh"
 #include "core/replay_batch.hh"
 #include "exp/checkpoint.hh"
-#include "obs/chrome_trace.hh"
-#include "obs/log.hh"
 
 namespace uscope::exp
 {
 
 namespace
 {
-
-constexpr obs::Logger log_{"exp.campaign"};
 
 double
 elapsedSeconds(std::chrono::steady_clock::time_point since)
@@ -153,10 +149,10 @@ toJson(const Histogram &histogram, std::size_t max_raw_samples)
         for (std::size_t i = 0; i < raw.size(); i += stride)
             samples.push(raw[i]);
         dropped = raw.size() - (raw.size() + stride - 1) / stride;
-        log_.warn("histogram JSON export: %llu of %zu raw samples "
-                  "dropped (cap %zu, stride %zu)",
-                  static_cast<unsigned long long>(dropped), raw.size(),
-                  max_raw_samples, stride);
+        warn("histogram JSON export: %llu of %zu raw samples "
+             "dropped (cap %zu, stride %zu)",
+             static_cast<unsigned long long>(dropped), raw.size(),
+             max_raw_samples, stride);
     }
     v.set("samples", std::move(samples));
     v.set("samples_total", std::uint64_t{raw.size()});
@@ -426,10 +422,6 @@ TrialExecutor::runAttempt(const CampaignSpec &spec, std::size_t index,
                 ctx.warmupData = hold.get();
             }
             ctx.forkCycle = ctx.fork->cycle();
-        } else if (spec.provideMachine) {
-            ctx.fork = &acquireMachine(spec, scratch, ctx.machine,
-                                       /*reset_state=*/true);
-            ctx.forkCycle = ctx.fork->cycle();
         }
 
         {
@@ -460,21 +452,6 @@ TrialExecutor::runAttempt(const CampaignSpec &spec, std::size_t index,
     } catch (...) {
         result.status = TrialStatus::Failed;
         result.error = "unknown exception";
-    }
-
-    // Spill the drained trace while the fork cycle is still in scope.
-    // Failed attempts don't spill (a retry will overwrite the slot
-    // anyway); a spill failure is a warning, never a trial failure.
-    if (tracing && !spec.traceSpillDir.empty() &&
-        result.status != TrialStatus::Failed &&
-        !result.output.trace.events.empty()) {
-        obs::ProfScope timer(prof, "prof.trial.export");
-        obs::TraceSpill spill;
-        spill.worker = worker;
-        spill.trial = index;
-        spill.forkCycle = ctx.forkCycle;
-        spill.log = result.output.trace;
-        obs::writeTraceSpill(spec.traceSpillDir, spill);
     }
 
     result.wallSeconds = elapsedSeconds(start);
@@ -640,15 +617,15 @@ CampaignRunner::run()
             // this worker; the grace pass below finishes its trials.
             std::lock_guard<std::mutex> guard(lock);
             ++deadWorkers;
-            log_.warn("campaign '%s': worker %u died (%s); finishing "
-                      "its trials serially",
-                      spec_.name.c_str(), worker, e.what());
+            warn("campaign '%s': worker %u died (%s); finishing "
+                 "its trials serially",
+                 spec_.name.c_str(), worker, e.what());
         } catch (...) {
             std::lock_guard<std::mutex> guard(lock);
             ++deadWorkers;
-            log_.warn("campaign '%s': worker %u died (unknown "
-                      "exception); finishing its trials serially",
-                      spec_.name.c_str(), worker);
+            warn("campaign '%s': worker %u died (unknown "
+                 "exception); finishing its trials serially",
+                 spec_.name.c_str(), worker);
         }
     };
 
@@ -709,8 +686,7 @@ CampaignRunner::run()
         if (!spec_.perTrialMetrics)
             trial.output.metrics = obs::MetricSnapshot{};
     }
-    if (spec_.keepTrialResults)
-        campaign.trials = std::move(results);
+    campaign.trials = std::move(results);
     campaign.wallSeconds = elapsedSeconds(start);
     return campaign;
 }

@@ -24,6 +24,10 @@
  *    campaign keeps going.
  *
  * Results export to JSON through exp::ResultSink (result_sink.hh).
+ * Observability (DESIGN.md §14) is a side channel: CampaignSpec::
+ * obsLevel turns on phase profiling (CampaignResult::prof) and
+ * per-trial event traces (TrialOutput::trace, merged in trial-index
+ * order by obs::mergeChromeTraces); neither enters a fingerprint.
  */
 
 #ifndef USCOPE_EXP_CAMPAIGN_HH
@@ -117,12 +121,12 @@ struct TrialContext
 
     /**
      * Runner-provided machine, non-null when the spec declared a
-     * warmup or set provideMachine (DESIGN.md §12).  Already reseeded
-     * with `seed`; when it came from a warmup it is a fork of the
-     * per-worker post-warmup snapshot (or a freshly re-warmed machine
-     * when prefixCache is off — bit-identical either way).  Bodies
-     * must use it instead of constructing their own machine, and must
-     * not destroy it; it may be a pooled instance owned by the runner.
+     * warmup (DESIGN.md §12).  Already reseeded with `seed`: a fork
+     * of the per-worker post-warmup snapshot (or a freshly re-warmed
+     * machine when prefixCache is off — bit-identical either way).
+     * Bodies must use it instead of constructing their own machine,
+     * and must not destroy it; it may be a pooled instance owned by
+     * the runner.
      */
     os::Machine *fork = nullptr;
 
@@ -177,8 +181,9 @@ struct TrialOutput
      * obsLevel >= Trace: by the executor (runner-provided machines
      * are drained automatically after the body) or by the body itself
      * for self-built machines.  Never fingerprinted — traces describe
-     * the run, they are not results — and never checkpointed; the
-     * durable form is the per-trial spill file (obs::TraceSpill).
+     * the run, they are not results — and never checkpointed;
+     * obs::mergeChromeTraces folds a campaign's traces into one
+     * Perfetto document.
      */
     obs::EventLog trace;
 };
@@ -228,8 +233,6 @@ struct CampaignSpec
     /** Per-trial simulated-cycle budget; 0 = unbounded.  A trial whose
      *  reported simCycles exceeds this is recorded as TimedOut. */
     Cycles cycleBudget = 0;
-    /** Keep per-trial results in CampaignResult::trials (and JSON). */
-    bool keepTrialResults = true;
     /**
      * Extra attempts granted to a trial whose body *throws*.  Attempt
      * k runs with deriveRetrySeed(masterSeed, index, k); a trial that
@@ -279,22 +282,14 @@ struct CampaignSpec
 
     /**
      * Reuse one pooled Machine per worker (Machine::reset /
-     * restoreFrom) instead of constructing and destroying one per
-     * trial, keeping page slabs and component buffers hot.  The pooled
-     * instance is replaced when a trial's structure differs
-     * (os::sameStructure).  Pure wall-clock knob: reset() is
-     * bit-identical to fresh construction.
+     * restoreFrom) for a warmup campaign's runner-provided machines
+     * instead of constructing and destroying one per trial, keeping
+     * page slabs and component buffers hot.  The pooled instance is
+     * replaced when a trial's structure differs (os::sameStructure).
+     * Pure wall-clock knob: reset() is bit-identical to fresh
+     * construction.
      */
     bool machinePool = true;
-
-    /**
-     * Hand every trial a runner-managed machine via TrialContext::fork
-     * even without a warmup, so warmup-less campaigns benefit from
-     * machinePool too.  Off by default: legacy bodies construct their
-     * own machines and would ignore (and double-build) the provided
-     * one.  Implied by `warmup`.
-     */
-    bool provideMachine = false;
 
     /**
      * Keep per-trial MetricSnapshots in trial results.  When a sink
@@ -340,24 +335,14 @@ struct CampaignSpec
      *            untouched);
      *   Metrics  phase-latency profiling (prof.trial.*) on;
      *   Trace    Metrics + per-trial event tracing: the executor
-     *            forces ctx.machine.obs.traceEvents on, drains
+     *            forces ctx.machine.obs.traceEvents on and drains
      *            runner-provided machines into TrialOutput::trace
-     *            after the body, and spills traces to traceSpillDir;
-     *   Full     everything (today identical to Trace).
+     *            after the body.
      *
      * Pure observation: campaign fingerprints are byte-identical at
      * every level (enforced by tests and bench/perf_campaign §5).
      */
     obs::ObsLevel obsLevel = obs::ObsLevel::Off;
-
-    /**
-     * When non-empty and obsLevel >= Trace: persist each executed
-     * trial's drained trace as an atomic spill file
-     * `trace-w<worker>-t<index>.json` under this directory, tagged
-     * (worker, trial, fork cycle) for merging via
-     * obs::mergeChromeTraces.
-     */
-    std::string traceSpillDir;
 };
 
 /** Campaign-level aggregate, merged in trial-index order. */
@@ -390,8 +375,7 @@ struct CampaignResult
      *  were finished serially by the grace pass). */
     unsigned workerDeaths = 0;
     CampaignAggregate aggregate;
-    /** Per-trial results, in index order (empty when the spec set
-     *  keepTrialResults = false). */
+    /** Per-trial results, in index order. */
     std::vector<TrialResult> trials;
     /**
      * Phase wall-time profile (prof.trial.*), merged across workers;
@@ -435,8 +419,7 @@ class TrialExecutor
     void beginCampaign(const CampaignSpec &spec);
 
     /** Run trial @p index of @p spec, including the spec's retry
-     *  policy.  `worker` is informational (lands in ctx.worker and
-     *  tags this trial's trace spill file). */
+     *  policy.  `worker` is informational (lands in ctx.worker). */
     TrialResult runTrial(const CampaignSpec &spec, std::size_t index,
                          unsigned worker);
 
@@ -474,8 +457,7 @@ CampaignAggregate aggregateTrials(const std::vector<TrialResult> &results);
  * except wall-clock noise (wall seconds, worker counts, retry
  * attempt counts).  Two runs of the same spec must produce identical
  * fingerprints regardless of worker count, fast-forward mode, prefix
- * caching, or checkpoint resume.
- * Requires the result to retain its trials (keepTrialResults).
+ * caching, checkpoint resume, or observability level.
  */
 std::string deterministicFingerprint(const CampaignResult &result);
 

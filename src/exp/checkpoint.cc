@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <charconv>
+#include <climits>
 #include <cstring>
 #include <fcntl.h>
 #include <filesystem>
@@ -11,15 +12,12 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "obs/log.hh"
 
 namespace uscope::exp
 {
 
 namespace
 {
-
-constexpr obs::Logger log_{"exp.checkpoint"};
 
 constexpr const char *trialMagic = "uscope-trial-v1";
 constexpr const char *manifestMagic = "uscope-campaign-v1";
@@ -239,7 +237,10 @@ CampaignCheckpoint::parseTrial(const std::string &text)
         return std::nullopt;
     out.status = *status;
     r.expect("attempts");
-    out.attempts = static_cast<unsigned>(r.u64());
+    const std::uint64_t attempts = r.u64();
+    if (attempts == 0 || attempts > UINT_MAX)
+        return std::nullopt;
+    out.attempts = static_cast<unsigned>(attempts);
     r.expect("wall");
     out.wallSeconds = r.bits();
     r.expect("sim_cycles");
@@ -276,10 +277,15 @@ CampaignCheckpoint::parseTrial(const std::string &text)
         } else {
             return std::nullopt;
         }
+        // aggregateTrials merge-joins snapshots by name, so a trial
+        // whose names are out of order or repeated would fold wrong.
+        if (!out.output.metrics.values.empty() &&
+            value.name <= out.output.metrics.values.back().name)
+            return std::nullopt;
         out.output.metrics.values.push_back(std::move(value));
     }
     r.expectEnd();
-    if (!r.ok || out.attempts == 0)
+    if (!r.ok)
         return std::nullopt;
     return out;
 }
@@ -332,9 +338,9 @@ CampaignCheckpoint::CampaignCheckpoint(const CampaignSpec &spec)
         return;
     }
     if (existing)
-        log_.warn("campaign '%s': checkpoint directory '%s' holds a "
-                  "different campaign's state; discarding it",
-                  name_.c_str(), dir_.c_str());
+        warn("campaign '%s': checkpoint directory '%s' holds a "
+             "different campaign's state; discarding it",
+             name_.c_str(), dir_.c_str());
 
     // Fresh start: stale trial files (possibly from a campaign with a
     // different trial count) must not be picked up by load().
@@ -361,9 +367,9 @@ CampaignCheckpoint::loadTrial(std::size_t index) const
         // cut on a filesystem that defeated the fsync dance): the
         // file carries no usable result, so the trial re-runs — a
         // per-trial cost, never a campaign abort.
-        log_.warn("campaign '%s': checkpoint '%s' is truncated or "
-                  "non-parseable; re-running trial %zu",
-                  name_.c_str(), trialPath(index).c_str(), index);
+        warn("campaign '%s': checkpoint '%s' is truncated or "
+             "non-parseable; re-running trial %zu",
+             name_.c_str(), trialPath(index).c_str(), index);
         return std::nullopt;
     }
     // The seed re-derivation is the integrity check: a file that
@@ -377,10 +383,10 @@ CampaignCheckpoint::loadTrial(std::size_t index) const
         trial->seed ==
             deriveRetrySeed(masterSeed_, index, trial->attempts - 1);
     if (!valid) {
-        log_.warn("campaign '%s': checkpoint '%s' is stale or "
-                  "inconsistent with this campaign; re-running trial "
-                  "%zu",
-                  name_.c_str(), trialPath(index).c_str(), index);
+        warn("campaign '%s': checkpoint '%s' is stale or "
+             "inconsistent with this campaign; re-running trial "
+             "%zu",
+             name_.c_str(), trialPath(index).c_str(), index);
         return std::nullopt;
     }
     return trial;
@@ -402,9 +408,9 @@ CampaignCheckpoint::load(std::vector<TrialResult> &results,
         ++restored;
     }
     if (restored)
-        log_.info("campaign '%s': resumed %zu of %zu trials from "
-                  "'%s'",
-                  name_.c_str(), restored, trials_, dir_.c_str());
+        inform("campaign '%s': resumed %zu of %zu trials from "
+               "'%s'",
+               name_.c_str(), restored, trials_, dir_.c_str());
     return restored;
 }
 
@@ -419,8 +425,8 @@ CampaignCheckpoint::store(const TrialResult &result) const
     } catch (const std::exception &e) {
         // Best-effort: a full disk must degrade the *checkpoint*, not
         // the campaign; the trial simply re-runs on a future resume.
-        log_.warn("campaign '%s': could not checkpoint trial %zu: %s",
-                  name_.c_str(), result.index, e.what());
+        warn("campaign '%s': could not checkpoint trial %zu: %s",
+             name_.c_str(), result.index, e.what());
     }
 }
 

@@ -40,9 +40,8 @@
 namespace uscope::exp
 {
 
-/** The atomic+durable write primitive now lives in common/fsio.hh
- *  (obs trace spills need it too); the alias keeps existing
- *  exp::writeFileAtomic callers working. */
+/** The atomic+durable write primitive lives in common/fsio.hh; the
+ *  alias keeps exp::writeFileAtomic callers working. */
 using uscope::writeFileAtomic;
 
 /** The campaign runner's view of one checkpoint directory. */

@@ -5,15 +5,9 @@
 
 #include "common/logging.hh"
 #include "exp/checkpoint.hh"
-#include "obs/log.hh"
 
 namespace uscope::exp
 {
-
-namespace
-{
-constexpr obs::Logger sinkLog{"exp.sink"};
-} // namespace
 
 JsonStreamSink::JsonStreamSink(std::ostream &os, bool include_trials,
                                int indent)
@@ -34,9 +28,9 @@ annotateNonFinite(json::Value doc, const std::string &name)
 {
     const std::size_t dropped = doc.nonFiniteCount();
     if (dropped) {
-        sinkLog.warn("campaign '%s': %zu non-finite metric value(s) "
-                     "serialized as null",
-                     name.c_str(), dropped);
+        warn("campaign '%s': %zu non-finite metric value(s) "
+             "serialized as null",
+             name.c_str(), dropped);
         doc.set("non_finite_nulled", std::uint64_t{dropped});
     }
     return doc;

@@ -4,15 +4,9 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "obs/log.hh"
 
 namespace uscope::fault
 {
-
-namespace
-{
-constexpr obs::Logger log_{"fault"};
-} // namespace
 
 const char *
 siteName(Site site)
@@ -68,9 +62,9 @@ FaultPlan::environmentDefault()
             return FaultPlan{};
         if (std::strcmp(value, "chaos") == 0)
             return chaos();
-        log_.warn("USCOPE_FAULT_PLAN='%s' not recognised (expected "
-                  "\"chaos\" or \"off\"); running noiseless",
-                  value);
+        warn("USCOPE_FAULT_PLAN='%s' not recognised (expected "
+             "\"chaos\" or \"off\"); running noiseless",
+             value);
         return FaultPlan{};
     }();
     return cached;

@@ -1,14 +1,8 @@
 #include "obs/chrome_trace.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <set>
-#include <sstream>
 
-#include "common/fsio.hh"
-#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace uscope::obs
@@ -157,18 +151,29 @@ threadNameMeta(int tid, const char *name)
         .set("args", json::Value::object().set("name", name));
 }
 
+/** The subsystem tracks of one machine's timeline. */
+constexpr std::pair<int, const char *> tracks[] = {
+    {tidReplay, "replay"}, {tidWalker, "walker"}, {tidMem, "mem"},
+    {tidFault, "fault"},   {tidCoreBase + 0, "core.ctx0"},
+    {tidCoreBase + 1, "core.ctx1"},
+};
+
+/** Move an event (or track metadata) onto process lane @p pid. */
+json::Value
+onPid(json::Value event, std::uint64_t pid)
+{
+    event.set("pid", pid);
+    return event;
+}
+
 } // anonymous namespace
 
 std::string
 toChromeTraceJson(const EventLog &log, const ChromeTraceOptions &options)
 {
     json::Value events = json::Value::array();
-    events.push(threadNameMeta(tidReplay, "replay"));
-    events.push(threadNameMeta(tidWalker, "walker"));
-    events.push(threadNameMeta(tidMem, "mem"));
-    events.push(threadNameMeta(tidFault, "fault"));
-    events.push(threadNameMeta(tidCoreBase + 0, "core.ctx0"));
-    events.push(threadNameMeta(tidCoreBase + 1, "core.ctx1"));
+    for (const auto &[tid, name] : tracks)
+        events.push(threadNameMeta(tid, name));
 
     std::size_t emitted = 0;
     std::size_t capped = 0;
@@ -205,235 +210,46 @@ toChromeTraceJson(const EventLog &log, const ChromeTraceOptions &options)
     return doc.dump();
 }
 
-// ---------------------------------------------------------------------
-// Per-trial trace spills and their merge (DESIGN.md §14).
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-/** tid stride per trial in a merged document: room for the subsystem
- *  tracks (tidCoreBase + ctx stays well below it). */
-constexpr std::size_t tidStride = 32;
-
-/** Re-home a converted event onto (pid = worker, tid group = trial). */
 json::Value
-retarget(json::Value event, unsigned pid, std::size_t tidBase)
-{
-    const json::Value *tid = event.get("tid");
-    const std::uint64_t local = tid ? tid->asU64() : 0;
-    event.set("pid", std::uint64_t{pid});
-    event.set("tid", tidBase + local);
-    return event;
-}
-
-json::Value
-processNameMeta(unsigned pid, const std::string &name)
-{
-    return json::Value::object()
-        .set("name", "process_name")
-        .set("ph", "M")
-        .set("pid", std::uint64_t{pid})
-        .set("tid", 0)
-        .set("args", json::Value::object().set("name", name));
-}
-
-/** The subsystem tracks a trial's tid group contains, mirrored from
- *  the single-machine writer's thread-name metadata. */
-constexpr std::pair<int, const char *> trialTracks[] = {
-    {tidReplay, "replay"}, {tidWalker, "walker"}, {tidMem, "mem"},
-    {tidFault, "fault"},   {tidCoreBase + 0, "core.ctx0"},
-    {tidCoreBase + 1, "core.ctx1"},
-};
-
-} // anonymous namespace
-
-std::string
-traceSpillToJson(const TraceSpill &spill)
-{
-    json::Value events = json::Value::array();
-    for (const Event &e : spill.log.events) {
-        events.push(json::Value::array()
-                        .push(e.cycle)
-                        .push(std::uint64_t{
-                            static_cast<unsigned>(e.kind)})
-                        .push(std::uint64_t{e.a})
-                        .push(std::uint64_t{e.b})
-                        .push(e.addr));
-    }
-    return json::Value::object()
-        .set("worker", std::uint64_t{spill.worker})
-        .set("trial", std::uint64_t{spill.trial})
-        .set("fork_cycle", spill.forkCycle)
-        .set("dropped", spill.log.dropped)
-        .set("total", spill.log.total)
-        .set("events", std::move(events))
-        .dump();
-}
-
-std::optional<TraceSpill>
-parseTraceSpill(const std::string &text)
-{
-    const std::optional<json::Value> doc = json::Value::parse(text);
-    if (!doc || !doc->isObject())
-        return std::nullopt;
-    const json::Value *worker = doc->get("worker");
-    const json::Value *trial = doc->get("trial");
-    const json::Value *events = doc->get("events");
-    if (!worker || !trial || !events || !events->isArray())
-        return std::nullopt;
-
-    TraceSpill spill;
-    spill.worker = static_cast<unsigned>(worker->asU64());
-    spill.trial = static_cast<std::size_t>(trial->asU64());
-    if (const json::Value *fork = doc->get("fork_cycle"))
-        spill.forkCycle = fork->asU64();
-    if (const json::Value *dropped = doc->get("dropped"))
-        spill.log.dropped = dropped->asU64();
-    for (const json::Value &row : events->items()) {
-        if (!row.isArray() || row.items().size() != 5)
-            return std::nullopt;
-        const auto &f = row.items();
-        const std::uint64_t kind = f[1].asU64();
-        if (kind >= numEventKinds)
-            return std::nullopt;
-        Event e;
-        e.cycle = f[0].asU64();
-        e.kind = static_cast<EventKind>(kind);
-        e.a = static_cast<std::uint8_t>(f[2].asU64());
-        e.b = static_cast<std::uint16_t>(f[3].asU64());
-        e.addr = f[4].asU64();
-        spill.log.events.push_back(e);
-    }
-    spill.log.total = doc->get("total")
-                          ? doc->get("total")->asU64()
-                          : spill.log.events.size() + spill.log.dropped;
-    return spill;
-}
-
-std::string
-traceSpillPath(const std::string &dir, unsigned worker,
-               std::size_t trial)
-{
-    return dir + format("/trace-w%03u-t%06zu.json", worker, trial);
-}
-
-bool
-writeTraceSpill(const std::string &dir, const TraceSpill &spill)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-        warn("trace spill: cannot create '%s': %s", dir.c_str(),
-             ec.message().c_str());
-        return false;
-    }
-    try {
-        writeFileAtomic(traceSpillPath(dir, spill.worker, spill.trial),
-                        traceSpillToJson(spill));
-    } catch (const SimFatal &e) {
-        // A failed spill loses observability, never results; the
-        // campaign keeps running.
-        warn("trace spill: %s", e.what());
-        return false;
-    }
-    return true;
-}
-
-std::vector<TraceSpill>
-loadTraceSpills(const std::string &dir)
-{
-    std::vector<std::string> paths;
-    std::error_code ec;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir, ec)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("trace-", 0) == 0 &&
-            name.size() > 5 &&
-            name.compare(name.size() - 5, 5, ".json") == 0)
-            paths.push_back(entry.path().string());
-    }
-    if (ec)
-        warn("trace spills: cannot list '%s': %s", dir.c_str(),
-             ec.message().c_str());
-    std::sort(paths.begin(), paths.end());
-
-    std::vector<TraceSpill> spills;
-    for (const std::string &path : paths) {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        if (!in) {
-            warn("trace spill: cannot read '%s'", path.c_str());
-            continue;
-        }
-        if (std::optional<TraceSpill> spill =
-                parseTraceSpill(buffer.str()))
-            spills.push_back(std::move(*spill));
-        else
-            warn("trace spill: '%s' is malformed; skipped",
-                 path.c_str());
-    }
-    return spills;
-}
-
-std::string
-mergeChromeTraces(std::vector<TraceSpill> spills,
+mergeChromeTraces(const std::vector<const EventLog *> &trials,
                   const ChromeTraceOptions &options)
 {
-    // Deterministic layout regardless of spill discovery order — and
-    // the dedup rule for steal races (two workers executed one trial;
-    // the logs are byte-identical, keep the lowest worker id).
-    std::sort(spills.begin(), spills.end(),
-              [](const TraceSpill &a, const TraceSpill &b) {
-                  return a.trial != b.trial ? a.trial < b.trial
-                                            : a.worker < b.worker;
-              });
-    std::size_t duplicates = 0;
-    std::vector<TraceSpill> unique;
-    for (TraceSpill &spill : spills) {
-        if (!unique.empty() && unique.back().trial == spill.trial)
-            ++duplicates;
-        else
-            unique.push_back(std::move(spill));
-    }
-
     json::Value events = json::Value::array();
-    std::set<unsigned> workers;
-    for (const TraceSpill &spill : unique)
-        workers.insert(spill.worker);
-    for (unsigned worker : workers)
-        events.push(
-            processNameMeta(worker, format("worker %u", worker)));
-
     std::uint64_t ringDropped = 0, recorded = 0;
-    std::size_t emitted = 0, capped = 0;
-    for (const TraceSpill &spill : unique) {
-        const std::size_t tidBase = spill.trial * tidStride;
-        for (const auto &[tid, name] : trialTracks) {
-            events.push(
-                threadNameMeta(tid, format("t%zu %s", spill.trial,
-                                           name).c_str())
-                    .set("pid", std::uint64_t{spill.worker})
-                    .set("tid", tidBase + tid));
-        }
-        for (const Event &e : spill.log.events) {
+    std::size_t merged = 0, emitted = 0, capped = 0;
+    for (std::size_t trial = 0; trial < trials.size(); ++trial) {
+        const EventLog &log = *trials[trial];
+        if (log.events.empty() && log.total == 0)
+            continue;
+        ++merged;
+        const std::uint64_t pid = trial;
+        events.push(json::Value::object()
+                        .set("name", "process_name")
+                        .set("ph", "M")
+                        .set("pid", pid)
+                        .set("tid", 0)
+                        .set("args", json::Value::object().set(
+                                         "name", format("trial %zu",
+                                                        trial))));
+        for (const auto &[tid, name] : tracks)
+            events.push(onPid(threadNameMeta(tid, name), pid));
+        for (const Event &e : log.events) {
             if (emitted >= options.maxEvents) {
                 ++capped;
                 continue;
             }
-            events.push(retarget(convert(e), spill.worker, tidBase));
+            events.push(onPid(convert(e), pid));
             ++emitted;
         }
-        ringDropped += spill.log.dropped;
-        recorded += spill.log.total;
+        ringDropped += log.dropped;
+        recorded += log.total;
     }
     if (capped)
         warn("merged trace: emitted %zu events (writer cap %zu); %zu "
              "dropped from the tail",
              emitted, options.maxEvents, capped);
     if (ringDropped)
-        warn("merged trace: worker rings overwrote %llu of %llu "
+        warn("merged trace: trial rings overwrote %llu of %llu "
              "recorded events before export",
              static_cast<unsigned long long>(ringDropped),
              static_cast<unsigned long long>(recorded));
@@ -444,13 +260,10 @@ mergeChromeTraces(std::vector<TraceSpill> spills,
         .set("otherData",
              json::Value::object()
                  .set("cycles_per_us", 1)
-                 .set("workers", std::uint64_t{workers.size()})
-                 .set("trials", std::uint64_t{unique.size()})
-                 .set("duplicate_spills", std::uint64_t{duplicates})
+                 .set("trials", std::uint64_t{merged})
                  .set("events_recorded", recorded)
                  .set("events_ring_dropped", ringDropped)
-                 .set("events_writer_capped", std::uint64_t{capped}))
-        .dump();
+                 .set("events_writer_capped", std::uint64_t{capped}));
 }
 
 bool

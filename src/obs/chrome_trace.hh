@@ -9,8 +9,8 @@
  * trace-event "ts" unit).  Page walks become duration ("B"/"E") spans
  * on the walker track; everything else is an instant event on a track
  * per subsystem (replay boundaries, walker, memory, one track per SMT
- * context).  Ring-buffer drops and writer-side caps are reported in a
- * metadata instant, never silently.
+ * context).  Ring-buffer drops and writer-side caps are reported in
+ * the document's otherData, never silently.
  */
 
 #ifndef USCOPE_OBS_CHROME_TRACE_HH
@@ -18,10 +18,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "obs/event.hh"
 
 namespace uscope::obs
@@ -46,65 +46,17 @@ std::string toChromeTraceJson(const EventLog &log,
 bool writeChromeTrace(const std::string &path, const EventLog &log,
                       const ChromeTraceOptions &options = {});
 
-// ---------------------------------------------------------------------
-// Per-trial trace spills and their merge (DESIGN.md §14).
-// ---------------------------------------------------------------------
-
 /**
- * One trial's trace as drained by a campaign worker: the EventLog
- * plus the coordinates that place it on the merged timeline.
- * Serialized as a compact JSON spill file — the durable per-trial
- * form the runner writes under CampaignSpec::traceSpillDir
- * (`<dir>/trace-w<worker>-t<index>.json`, via writeFileAtomic), which
- * obs::mergeChromeTraces later merges into one Perfetto document.
+ * Merge a campaign's per-trial traces into ONE Chrome trace-event
+ * document (DESIGN.md §14).  Element i of @p trials is trial i's
+ * drained log (TrialResult::output.trace); empty logs are left
+ * out.  Each trial becomes its own track group — `pid` = trial
+ * index, named `trial <i>`, holding the replay/walker/mem/fault/core
+ * tracks — on one shared cycle axis.  Ring-drop and writer-cap totals
+ * are summed into otherData, never silent.  The document depends only
+ * on the logs, so it is byte-identical at any worker count.
  */
-struct TraceSpill
-{
-    unsigned worker = 0;
-    std::size_t trial = 0;
-    /** Machine cycle at trial hand-off (TrialContext::forkCycle) —
-     *  lets a viewer separate shared-warmup from per-trial spans. */
-    std::uint64_t forkCycle = 0;
-    EventLog log;
-};
-
-/** Compact spill serialization: `{"worker","trial","fork_cycle",
- *  "dropped","total","events":[[cycle,kind,a,b,addr],...]}`. */
-std::string traceSpillToJson(const TraceSpill &spill);
-
-/** Inverse of traceSpillToJson; nullopt on malformed input. */
-std::optional<TraceSpill> parseTraceSpill(const std::string &text);
-
-/** Canonical spill filename for (worker, trial) under @p dir. */
-std::string traceSpillPath(const std::string &dir, unsigned worker,
-                           std::size_t trial);
-
-/**
- * Persist @p spill atomically under @p dir (created on demand).
- * @return true on success; warns and returns false on failure.
- */
-bool writeTraceSpill(const std::string &dir, const TraceSpill &spill);
-
-/**
- * Read every `trace-*.json` spill under @p dir, sorted by filename;
- * unparseable files warn and are skipped.
- */
-std::vector<TraceSpill> loadTraceSpills(const std::string &dir);
-
-/**
- * Merge per-trial spills from many campaign workers into ONE Chrome
- * trace-event document: each worker becomes a `pid` lane (with a
- * process_name metadata record), each trial a group of `tid` tracks
- * inside its worker's lane (replay/walker/mem/fault/core, named
- * `t<trial> <track>`), so a 4-worker campaign renders as four
- * side-by-side process lanes sharing one cycle axis.  Duplicate
- * spills for one trial (a resumed campaign re-ran it on another
- * worker — byte-identical by the determinism contract) are
- * deduplicated, keeping
- * the lowest worker id.  Drop/cap accounting is summed across spills
- * into otherData, never silent.
- */
-std::string mergeChromeTraces(std::vector<TraceSpill> spills,
+json::Value mergeChromeTraces(const std::vector<const EventLog *> &trials,
                               const ChromeTraceOptions &options = {});
 
 } // namespace uscope::obs

@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "obs/log.hh"
 
 namespace uscope::obs
 {
@@ -70,7 +69,6 @@ BenchObsOptions
 parseBenchObsOptions(int argc, char **argv,
                      const std::string &default_trace_path)
 {
-    configureLogFromEnv();
     BenchObsOptions opts;
     opts.tracePath = default_trace_path;
     for (int i = 1; i < argc; ++i) {
@@ -101,25 +99,12 @@ parseBenchObsOptions(int argc, char **argv,
             const std::optional<ObsLevel> level =
                 value ? parseObsLevel(value) : std::nullopt;
             if (!level)
-                panic("--obs requires off|metrics|trace|full");
+                panic("--obs requires off|metrics|trace");
             opts.obsLevel = level;
-        } else if (matchFlag(arg, "--log-level", &value)) {
-            const std::optional<LogLevel> level =
-                value ? parseLogLevel(value) : std::nullopt;
-            if (!level)
-                panic("--log-level requires error|warn|info|debug");
-            LogConfig lc = logConfig();
-            lc.level = *level;
-            configureLog(lc);
-        } else if (matchFlag(arg, "--log-json", &value)) {
-            LogConfig lc = logConfig();
-            lc.json = true;
-            configureLog(lc);
         } else {
             warn("ignoring unknown argument '%s' "
                  "(known: --trace[=PATH], --trace-capacity=N, "
-                 "--metrics, --fast-forward={on,off}, --obs=LEVEL, "
-                 "--log-level=LEVEL, --log-json)",
+                 "--metrics, --fast-forward={on,off}, --obs=LEVEL)",
                  arg);
         }
     }

@@ -14,16 +14,13 @@
  *                      (default: each bench's own choice — usually
  *                      both, as an A/B measurement).
  *   --obs=LEVEL        pin the campaign observability dial
- *                      (off|metrics|trace|full); unset means "bench
+ *                      (off|metrics|trace); unset means "bench
  *                      decides" — perf_campaign's obs section uses it
  *                      to re-run one arm of its A/B.
- *   --log-level=LEVEL  structured-log threshold (error|warn|info|
- *                      debug); applied via obs::configureLog.
- *   --log-json         NDJSON log lines on stderr.
  *
  * Unknown arguments warn and are ignored so the benches stay ctest-
- * and script-friendly.  parseBenchObsOptions() also calls
- * configureLogFromEnv() first, so USCOPE_LOG works on every bench.
+ * and script-friendly.  Diagnostics go through warn()/inform()
+ * (common/logging.hh).
  */
 
 #ifndef USCOPE_OBS_CLI_HH

@@ -9,7 +9,6 @@
  *   prof.trial.warmup    cold warmup of a trial's Machine
  *   prof.trial.fork      snapshot restore + reseed of a warm fork
  *   prof.trial.run       the trial body itself
- *   prof.trial.export    trace drain + spill write
  *
  * `ProfScope` reads the clock only when handed a non-null ProfData —
  * a disabled caller passes nullptr and pays two pointer compares.
@@ -19,9 +18,8 @@
  *
  * ObsLevel — the campaign-wide observability dial — lives here too:
  * it gates both profiling (>= Metrics) and per-trial event tracing
- * (>= Trace); Full is Trace with nothing held back (reserved for
- * future extra-cost surfaces; today Trace and Full differ only in
- * name, and the A/B bench measures all four).
+ * (>= Trace), whose logs obs::mergeChromeTraces folds into one
+ * campaign timeline.
  */
 
 #ifndef USCOPE_OBS_PROF_HH
@@ -44,11 +42,10 @@ enum class ObsLevel : int
 {
     Off = 0,     ///< No profiling, no tracing.
     Metrics = 1, ///< Phase profiling + metric export only.
-    Trace = 2,   ///< Metrics + per-trial event traces (and spills).
-    Full = 3,    ///< Everything on.
+    Trace = 2,   ///< Metrics + per-trial event traces.
 };
 
-/** Printable name ("off", "metrics", "trace", "full"). */
+/** Printable name ("off", "metrics", "trace"). */
 const char *obsLevelName(ObsLevel level);
 
 /** Inverse of obsLevelName; nullopt on anything else. */

@@ -262,17 +262,3 @@ TEST(Logging, FormatProducesText)
     EXPECT_EQ(format("a=%d b=%s", 5, "hi"), "a=5 b=hi");
     EXPECT_EQ(format("%llx", 0xDEADull), "dead");
 }
-
-TEST(Logging, TraceGating)
-{
-    Trace trace("unit-test-cat");
-    EXPECT_FALSE(trace.enabled());
-    Trace::enable("unit-test-cat");
-    EXPECT_TRUE(trace.enabled());
-    Trace::disable("unit-test-cat");
-    EXPECT_FALSE(trace.enabled());
-    Trace::enable("*");
-    EXPECT_TRUE(trace.enabled());
-    Trace::disableAll();
-    EXPECT_FALSE(trace.enabled());
-}

@@ -14,8 +14,10 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -819,10 +821,128 @@ TEST(Checkpoint, MalformedTrialFilesAreRejected)
              replaced("\nerror 0\n", "\nerror 18446744073709551615\n"),
              // Bytes after the closing token.
              text + "index 7\n",
+             // Would wrap to 1 through the unsigned cast.
+             replaced("\nattempts 1\n", "\nattempts 4294967297\n"),
          }) {
         EXPECT_FALSE(exp::CampaignCheckpoint::parseTrial(bad).has_value())
             << bad;
     }
+
+    // aggregateTrials merge-joins metric snapshots, so names must be
+    // strictly increasing: out of order or repeated, the fold is wrong.
+    exp::TrialResult withMetrics;
+    obs::MetricRegistry registry;
+    registry.counter("a.x").set(1);
+    registry.counter("b.y").set(2);
+    withMetrics.output.metrics = registry.snapshot();
+    const std::string sorted =
+        exp::CampaignCheckpoint::serializeTrial(withMetrics);
+    ASSERT_TRUE(exp::CampaignCheckpoint::parseTrial(sorted).has_value());
+    const std::string pair = "counter 3\na.x\n1\ncounter 3\nb.y\n2\n";
+    const std::size_t at = sorted.find(pair);
+    ASSERT_NE(at, std::string::npos);
+    for (const char *entries :
+         {"counter 3\nb.y\n2\ncounter 3\na.x\n1\n",
+          "counter 3\na.x\n1\ncounter 3\na.x\n2\n"}) {
+        std::string bad = sorted;
+        bad.replace(at, pair.size(), entries);
+        EXPECT_FALSE(exp::CampaignCheckpoint::parseTrial(bad).has_value())
+            << bad;
+    }
+}
+
+namespace
+{
+
+/** One random edit of a checkpoint record: a bit flip, a truncation,
+ *  or a duplicated or dropped line. */
+void
+mutateRecord(std::string &text, Rng &rng)
+{
+    if (text.empty())
+        return;
+    const std::size_t pos = rng.below(text.size());
+    switch (rng.below(4)) {
+      case 0:
+        text[pos] = static_cast<char>(text[pos] ^ (1u << rng.below(8)));
+        break;
+      case 1:
+        text.resize(pos);
+        break;
+      default: {
+        const std::size_t begin = text.rfind('\n', pos);
+        const std::size_t start = begin == std::string::npos ? 0
+                                                             : begin + 1;
+        const std::size_t end = text.find('\n', pos);
+        const std::size_t stop = end == std::string::npos ? text.size()
+                                                          : end + 1;
+        const std::string line = text.substr(start, stop - start);
+        if (rng.below(2))
+            text.insert(start, line);
+        else
+            text.erase(start, stop - start);
+        break;
+      }
+    }
+}
+
+} // namespace
+
+TEST(Checkpoint, FuzzedTrialRecordsRoundTripOrAreRejected)
+{
+    // A record that fills every field the format has.
+    exp::TrialResult trial;
+    trial.index = 5;
+    trial.seed = exp::deriveRetrySeed(42, 5, 1);
+    trial.status = exp::TrialStatus::Retried;
+    trial.attempts = 2;
+    trial.error = "first attempt\nthrew";
+    trial.wallSeconds = 0.125;
+    trial.output.simCycles = 123456;
+    trial.output.payload =
+        exp::json::Value::object().set("bit", 1).set("tag", "x y");
+    trial.output.metric.add(1.5);
+    trial.output.metric.add(-2.0);
+    trial.output.scope.handleFaults = 7;
+    trial.output.scope.totalReplays = 9;
+    obs::MetricRegistry registry;
+    registry.counter("cpu.retired").set(400);
+    registry.gauge("mem.ratio").set(0.5);
+    registry.latency("vm.walk").record(30.0);
+    trial.output.metrics = registry.snapshot();
+    const std::string record =
+        exp::CampaignCheckpoint::serializeTrial(trial);
+    ASSERT_TRUE(exp::CampaignCheckpoint::parseTrial(record).has_value());
+
+    Rng rng(0xF022);
+    std::size_t accepted = 0;
+    for (int i = 0; i < 20000; ++i) {
+        std::string text = record;
+        const std::uint64_t edits = 1 + rng.below(3);
+        for (std::uint64_t e = 0; e < edits; ++e)
+            mutateRecord(text, rng);
+        const std::optional<exp::TrialResult> parsed =
+            exp::CampaignCheckpoint::parseTrial(text);
+        if (!parsed)
+            continue;
+        ++accepted;
+        EXPECT_GE(parsed->attempts, 1u) << text;
+        const std::vector<obs::MetricValue> &values =
+            parsed->output.metrics.values;
+        for (std::size_t v = 1; v < values.size(); ++v)
+            EXPECT_LT(values[v - 1].name, values[v].name) << text;
+        // Whatever was accepted must survive its own round trip.
+        const std::string again =
+            exp::CampaignCheckpoint::serializeTrial(*parsed);
+        const std::optional<exp::TrialResult> back =
+            exp::CampaignCheckpoint::parseTrial(again);
+        ASSERT_TRUE(back.has_value()) << text;
+        EXPECT_EQ(exp::CampaignCheckpoint::serializeTrial(*back), again)
+            << text;
+    }
+    // Not vacuous: some mutants (a flipped digit, an edited error
+    // text) are still well-formed records.
+    EXPECT_GT(accepted, 500u);
 }
 
 namespace

@@ -4,20 +4,19 @@
  * ordering, the disabled-path contract), the metric registry
  * (idempotent registration, kind-collision panics, snapshot/merge
  * determinism across campaign worker counts), the Chrome trace-event
- * exporter (well-formed JSON, drop reporting), and the thread-safety
- * contract of the Trace category registry.
+ * exporter (well-formed JSON, drop reporting), the merged campaign
+ * trace, phase profiling, and the observation-must-not-perturb
+ * contract.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/json.hh"
@@ -28,7 +27,6 @@
 #include "obs/chrome_trace.hh"
 #include "obs/cli.hh"
 #include "obs/event_trace.hh"
-#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/observer.hh"
 #include "obs/prof.hh"
@@ -463,213 +461,143 @@ TEST(BenchCli, ParsesTraceMetricsAndCapacity)
 }
 
 // ---------------------------------------------------------------------
-// Trace category registry: thread-safety contract.
+// The merged campaign trace (DESIGN.md §14).
 // ---------------------------------------------------------------------
 
-TEST(TraceCategories, CachedFlagTracksCategoryToggles)
+TEST(ChromeTrace, MergeGivesEachTrialOneTrackGroup)
 {
-    Trace::disableAll();
-    const Trace a("obs-test-a");
-    const Trace b("obs-test-b");
-    EXPECT_FALSE(a.enabled());
-    EXPECT_FALSE(b.enabled());
+    const obs::EventLog first = sampleLog();
+    obs::EventLog wrapped = sampleLog();
+    wrapped.dropped = 5;
+    wrapped.total += 5;
+    const obs::EventLog empty;
+    // Trials 1 and 2 recorded nothing and are left out.
+    const std::vector<const obs::EventLog *> trials = {
+        &first, &empty, &empty, &wrapped};
+    const std::size_t perLog = first.events.size();
 
-    Trace::enable("obs-test-a");
-    EXPECT_TRUE(a.enabled());
-    EXPECT_FALSE(b.enabled());
+    obs::ChromeTraceOptions options;
+    options.maxEvents = perLog + 3;
+    const json::Value doc = obs::mergeChromeTraces(trials, options);
+    EXPECT_TRUE(jsonWellFormed(doc.dump()));
 
-    Trace::enable("*");
-    EXPECT_TRUE(b.enabled());
-
-    Trace::disable("*");
-    EXPECT_TRUE(a.enabled());
-    EXPECT_FALSE(b.enabled());
-
-    Trace::disableAll();
-    EXPECT_FALSE(a.enabled());
-
-    // A Trace constructed while its category is already on starts
-    // enabled (the constructor consults the registry).
-    Trace::enable("obs-test-late");
-    const Trace late("obs-test-late");
-    EXPECT_TRUE(late.enabled());
-    Trace::disableAll();
-}
-
-TEST(TraceCategories, ConcurrentTogglesAndReadsAreSafe)
-{
-    // Hammer the registry from mutator threads while reader threads
-    // spin on the lock-free enabled() gate — the pattern campaign
-    // workers create.  Run under USCOPE_SANITIZE=thread in CI.
-    Trace::disableAll();
-    const Trace traced("obs-race");
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> reads{0};
-
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 2; ++t) {
-        threads.emplace_back([&] {
-            for (int i = 0; i < 2000; ++i) {
-                Trace::enable("obs-race");
-                Trace::disable("obs-race");
-            }
-        });
-    }
-    for (int t = 0; t < 2; ++t) {
-        threads.emplace_back([&] {
-            std::uint64_t seen = 0;
-            while (!stop.load(std::memory_order_relaxed))
-                seen += traced.enabled() ? 1 : 0;
-            reads.fetch_add(seen, std::memory_order_relaxed);
-        });
-    }
-    // Constructing/destroying Traces concurrently with toggles must
-    // not corrupt the instance registry either.
-    for (int i = 0; i < 500; ++i) {
-        const Trace transient("obs-race-transient");
-        (void)transient.enabled();
-    }
-
-    threads[0].join();
-    threads[1].join();
-    stop.store(true, std::memory_order_relaxed);
-    threads[2].join();
-    threads[3].join();
-    Trace::disableAll();
-    EXPECT_FALSE(traced.enabled());
-}
-
-// ---------------------------------------------------------------------
-// Trace spills and cross-process aggregation (DESIGN.md §14).
-// ---------------------------------------------------------------------
-
-TEST(TraceSpill, JsonRoundTrip)
-{
-    obs::TraceSpill spill;
-    spill.worker = 3;
-    spill.trial = 17;
-    spill.forkCycle = 123456;
-    spill.log = sampleLog();
-
-    const std::string text = obs::traceSpillToJson(spill);
-    EXPECT_TRUE(jsonWellFormed(text));
-
-    const std::optional<obs::TraceSpill> back =
-        obs::parseTraceSpill(text);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->worker, 3u);
-    EXPECT_EQ(back->trial, 17u);
-    EXPECT_EQ(back->forkCycle, 123456u);
-    EXPECT_EQ(back->log.dropped, spill.log.dropped);
-    ASSERT_EQ(back->log.events.size(), spill.log.events.size());
-    for (std::size_t i = 0; i < spill.log.events.size(); ++i) {
-        EXPECT_EQ(back->log.events[i].cycle, spill.log.events[i].cycle);
-        EXPECT_EQ(back->log.events[i].kind, spill.log.events[i].kind);
-        EXPECT_EQ(back->log.events[i].addr, spill.log.events[i].addr);
-    }
-
-    EXPECT_FALSE(obs::parseTraceSpill("not json").has_value());
-    EXPECT_FALSE(obs::parseTraceSpill("{\"worker\":1}").has_value());
-}
-
-TEST(TraceSpill, WriteLoadSortsAndSkipsGarbage)
-{
-    const std::string dir =
-        (std::filesystem::path(testing::TempDir()) / "obs-spills")
-            .string();
-    std::filesystem::remove_all(dir);
-
-    obs::TraceSpill a;
-    a.worker = 1;
-    a.trial = 2;
-    a.log = sampleLog();
-    obs::TraceSpill b;
-    b.worker = 0;
-    b.trial = 5;
-    b.log = sampleLog();
-    ASSERT_TRUE(obs::writeTraceSpill(dir, a));
-    ASSERT_TRUE(obs::writeTraceSpill(dir, b));
-
-    // Garbage spill files are skipped with a warning, not fatal; other
-    // files in the dir are ignored entirely.
-    {
-        std::ofstream garbage(std::filesystem::path(dir) /
-                              "trace-w009-t000009.json");
-        garbage << "{truncated";
-    }
-    {
-        std::ofstream other(std::filesystem::path(dir) / "notes.txt");
-        other << "not a spill";
-    }
-
-    const std::vector<obs::TraceSpill> spills =
-        obs::loadTraceSpills(dir);
-    ASSERT_EQ(spills.size(), 2u);
-    // Sorted by filename: trace-w000-t000005 before trace-w001-t000002.
-    EXPECT_EQ(spills[0].worker, 0u);
-    EXPECT_EQ(spills[0].trial, 5u);
-    EXPECT_EQ(spills[1].worker, 1u);
-    EXPECT_EQ(spills[1].trial, 2u);
-
-    std::filesystem::remove_all(dir);
-}
-
-TEST(TraceSpill, MergeProducesPerWorkerPidLanesAndDedupes)
-{
-    obs::TraceSpill w0t0;
-    w0t0.worker = 0;
-    w0t0.trial = 0;
-    w0t0.log = sampleLog();
-    // The same trial executed twice (a steal race): byte-identical by
-    // the determinism contract, deduplicated keeping the lowest worker.
-    obs::TraceSpill w1t0 = w0t0;
-    w1t0.worker = 1;
-    obs::TraceSpill w1t1;
-    w1t1.worker = 1;
-    w1t1.trial = 1;
-    w1t1.log = sampleLog();
-
-    const std::string merged =
-        obs::mergeChromeTraces({w0t0, w1t0, w1t1});
-    EXPECT_TRUE(jsonWellFormed(merged));
-
-    const std::optional<json::Value> doc = json::Value::parse(merged);
-    ASSERT_TRUE(doc.has_value());
-    const json::Value *events = doc->get("traceEvents");
+    const json::Value *events = doc.get("traceEvents");
     ASSERT_NE(events, nullptr);
-
-    bool sawWorker0Name = false;
-    bool sawWorker1Name = false;
-    std::set<std::uint64_t> pids;
-    bool trial0OnWorker1 = false;
+    std::set<std::string> processNames;
+    std::map<std::uint64_t, std::size_t> tracksPerPid, eventsPerPid;
     for (const json::Value &event : events->items()) {
-        const json::Value *ph = event.get("ph");
         const json::Value *pid = event.get("pid");
-        const json::Value *tid = event.get("tid");
-        ASSERT_NE(ph, nullptr);
         ASSERT_NE(pid, nullptr);
-        if (ph->asString() == "M") {
-            const json::Value *args = event.get("args");
-            if (args && args->get("name")) {
-                const std::string &name = args->get("name")->asString();
-                sawWorker0Name |= name == "worker 0";
-                sawWorker1Name |= name == "worker 1";
-            }
-            continue;
+        const std::string &name = event.get("name")->asString();
+        if (name == "process_name") {
+            const std::string &label =
+                event.get("args")->get("name")->asString();
+            EXPECT_EQ(label, "trial " + std::to_string(pid->asU64()));
+            processNames.insert(label);
+        } else if (name == "thread_name") {
+            ++tracksPerPid[pid->asU64()];
+        } else {
+            ++eventsPerPid[pid->asU64()];
         }
-        pids.insert(pid->asU64());
-        // Trial tracks live at tid = trial*32 + track; the duplicate
-        // trial 0 must render only on worker 0's lane.
-        if (pid->asU64() == 1 && tid && tid->asU64() < 32)
-            trial0OnWorker1 = true;
     }
-    EXPECT_TRUE(sawWorker0Name);
-    EXPECT_TRUE(sawWorker1Name);
-    EXPECT_EQ(pids.size(), 2u) << "expected two pid lanes";
-    EXPECT_TRUE(pids.count(0));
-    EXPECT_TRUE(pids.count(1));
-    EXPECT_FALSE(trial0OnWorker1)
-        << "duplicate trial not deduplicated to the lowest worker";
+    EXPECT_EQ(processNames,
+              (std::set<std::string>{"trial 0", "trial 3"}));
+    EXPECT_EQ(tracksPerPid,
+              (std::map<std::uint64_t, std::size_t>{{0, 6}, {3, 6}}));
+    // The writer cap keeps trial 0 whole and 3 events of trial 3.
+    EXPECT_EQ(eventsPerPid,
+              (std::map<std::uint64_t, std::size_t>{{0, perLog},
+                                                    {3, 3}}));
+
+    const json::Value *other = doc.get("otherData");
+    ASSERT_NE(other, nullptr);
+    EXPECT_EQ(other->get("trials")->asU64(), 2u);
+    EXPECT_EQ(other->get("events_recorded")->asU64(),
+              first.total + wrapped.total);
+    EXPECT_EQ(other->get("events_ring_dropped")->asU64(), 5u);
+    EXPECT_EQ(other->get("events_writer_capped")->asU64(), perLog - 3);
+}
+
+namespace
+{
+
+/** Where the traced campaign's warmup leaves its victim. */
+struct WarmVictim
+{
+    os::Pid pid = 0;
+    VAddr page = 0;
+};
+
+/** A traced campaign whose trials run a seed-sized load loop on a
+ *  fork of a shared warmup. */
+exp::CampaignSpec
+tracedWarmupSpec(unsigned workers)
+{
+    exp::CampaignSpec spec;
+    spec.name = "obs-merged-trace";
+    spec.trials = 8;
+    spec.masterSeed = 11;
+    spec.workers = workers;
+    spec.obsLevel = obs::ObsLevel::Trace;
+    spec.machineFactory = [](const exp::TrialContext &) {
+        os::MachineConfig config;
+        config.obs.traceCapacity = 1u << 12;
+        return config;
+    };
+    spec.warmup = [](os::Machine &m) -> std::shared_ptr<const void> {
+        auto victim = std::make_shared<WarmVictim>();
+        victim->pid = m.kernel().createProcess("obs-warm");
+        victim->page = m.kernel().allocVirtual(victim->pid, pageSize);
+        return victim;
+    };
+    spec.body = [](const exp::TrialContext &ctx) {
+        os::Machine &m = *ctx.fork;
+        const auto *victim =
+            static_cast<const WarmVictim *>(ctx.warmupData);
+        Rng rng(ctx.seed);
+        cpu::ProgramBuilder b;
+        b.movi(1, static_cast<std::int64_t>(victim->page));
+        const unsigned loads = 1 + static_cast<unsigned>(rng.below(8));
+        for (unsigned i = 0; i < loads; ++i)
+            b.ld(2, 1, static_cast<std::int64_t>(i * lineSize));
+        b.halt();
+        m.kernel().startOnContext(
+            victim->pid, 0,
+            std::make_shared<const cpu::Program>(b.build()));
+        if (!m.runUntilHalted(0, 1'000'000))
+            throw std::runtime_error("victim did not halt");
+        exp::TrialOutput out;
+        out.simCycles = m.cycle() - ctx.forkCycle;
+        return out;
+    };
+    return spec;
+}
+
+std::string
+mergedTrace(const exp::CampaignResult &result)
+{
+    std::vector<const obs::EventLog *> logs;
+    for (const exp::TrialResult &trial : result.trials)
+        logs.push_back(&trial.output.trace);
+    return obs::mergeChromeTraces(logs).dump();
+}
+
+} // namespace
+
+TEST(ChromeTrace, MergedCampaignTraceIsIdenticalAcrossWorkerCounts)
+{
+    const exp::CampaignResult w1 =
+        exp::runCampaign(tracedWarmupSpec(1));
+    const exp::CampaignResult w4 =
+        exp::runCampaign(tracedWarmupSpec(4));
+    ASSERT_EQ(w1.aggregate.ok, 8u);
+    ASSERT_EQ(w4.aggregate.ok, 8u);
+    for (const exp::TrialResult &trial : w1.trials)
+        ASSERT_FALSE(trial.output.trace.events.empty());
+
+    const std::string doc = mergedTrace(w1);
+    EXPECT_EQ(doc, mergedTrace(w4));
+    EXPECT_NE(doc.find("\"trials\":8"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -680,12 +608,13 @@ TEST(Prof, ObsLevelNamesRoundTrip)
 {
     for (obs::ObsLevel level :
          {obs::ObsLevel::Off, obs::ObsLevel::Metrics,
-          obs::ObsLevel::Trace, obs::ObsLevel::Full}) {
+          obs::ObsLevel::Trace}) {
         const std::optional<obs::ObsLevel> back =
             obs::parseObsLevel(obs::obsLevelName(level));
         ASSERT_TRUE(back.has_value());
         EXPECT_EQ(*back, level);
     }
+    EXPECT_FALSE(obs::parseObsLevel("full").has_value());
     EXPECT_FALSE(obs::parseObsLevel("verbose").has_value());
     EXPECT_FALSE(obs::parseObsLevel("").has_value());
 }
@@ -742,7 +671,7 @@ TEST(Obs, CampaignFingerprintInvariantAcrossObsLevels)
     bool first = true;
     for (obs::ObsLevel level :
          {obs::ObsLevel::Off, obs::ObsLevel::Metrics,
-          obs::ObsLevel::Trace, obs::ObsLevel::Full}) {
+          obs::ObsLevel::Trace}) {
         exp::CampaignSpec spec = metricSpec(2);
         spec.obsLevel = level;
         const exp::CampaignResult result = exp::runCampaign(spec);
@@ -762,21 +691,19 @@ TEST(Obs, CampaignFingerprintInvariantAcrossObsLevels)
     }
 }
 
-TEST(BenchCli, ParsesObsAndLogFlags)
+TEST(BenchCli, ParsesObsFlag)
 {
-    const obs::LogConfig saved = obs::logConfig();
-
-    const char *argv[] = {"bench", "--obs=trace", "--log-level=debug"};
+    const char *argv[] = {"bench", "--obs=trace"};
     const obs::BenchObsOptions opts = obs::parseBenchObsOptions(
-        3, const_cast<char **>(argv), "default.json");
+        2, const_cast<char **>(argv), "default.json");
     ASSERT_TRUE(opts.obsLevel.has_value());
     EXPECT_EQ(*opts.obsLevel, obs::ObsLevel::Trace);
-    EXPECT_EQ(obs::logConfig().level, obs::LogLevel::Debug);
 
-    const char *bad[] = {"bench", "--obs=everything"};
-    EXPECT_THROW(obs::parseBenchObsOptions(
-                     2, const_cast<char **>(bad), "d.json"),
-                 SimPanic);
-
-    obs::configureLog(saved);
+    for (const char *bad : {"--obs=everything", "--obs=full"}) {
+        const char *argvBad[] = {"bench", bad};
+        EXPECT_THROW(obs::parseBenchObsOptions(
+                         2, const_cast<char **>(argvBad), "d.json"),
+                     SimPanic)
+            << bad;
+    }
 }

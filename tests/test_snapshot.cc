@@ -560,38 +560,6 @@ TEST(PrefixCampaign, RetriedTrialsReForkDeterministically)
     EXPECT_EQ(campaignFingerprint(forked), campaignFingerprint(cold));
 }
 
-TEST(PrefixCampaign, ProvideMachinePoolsColdCampaigns)
-{
-    // No warmup: provideMachine still hands bodies a runner-managed
-    // (pooled or fresh) machine, bit-identically either way.
-    const auto spec = [](bool pool) {
-        exp::CampaignSpec s;
-        s.name = "snapshot_provide";
-        s.trials = 3;
-        s.masterSeed = 42;
-        s.workers = 1;
-        s.provideMachine = true;
-        s.machinePool = pool;
-        s.body = [](const exp::TrialContext &ctx) {
-            EXPECT_NE(ctx.fork, nullptr);
-            EXPECT_EQ(ctx.forkCycle, 0u);
-            os::Machine &m = *ctx.fork;
-            const Victim v = buildVictim(m);
-            runBody(m, v, ctx.seed);
-            exp::TrialOutput out;
-            out.simCycles = m.cycle();
-            out.metrics = m.metricsSnapshot();
-            out.payload = exp::json::Value::object().set(
-                "cycles", m.cycle());
-            return out;
-        };
-        return s;
-    };
-    const exp::CampaignResult pooled = exp::runCampaign(spec(true));
-    const exp::CampaignResult fresh = exp::runCampaign(spec(false));
-    EXPECT_EQ(campaignFingerprint(pooled), campaignFingerprint(fresh));
-}
-
 // ---------------------------------------------------------------------
 // perTrialMetrics: skip the work, keep the aggregate.
 // ---------------------------------------------------------------------
