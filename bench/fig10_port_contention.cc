@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "attack/port_contention.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "exp/campaign.hh"
 #include "exp/result_sink.hh"
@@ -83,8 +84,13 @@ printHeadline(const Arm &arm, const attack::PortContentionResult &result)
 int
 main(int argc, char **argv)
 {
-    const obs::BenchObsOptions obsOpts = obs::parseBenchObsOptions(
-        argc, argv, "bench-results/fig10_port_contention.trace.json");
+    obs::BenchObsOptions obsOpts;
+    try {
+        obsOpts = obs::parseBenchObsOptions(
+            argc, argv, "bench-results/fig10_port_contention.trace.json");
+    } catch (const SimPanic &) {
+        return 2;  // panic() has named the bad argument
+    }
 
     std::printf("==============================================================\n");
     std::printf("Figure 10: port-contention attack, 10,000 monitor samples\n");

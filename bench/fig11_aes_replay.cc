@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "attack/aes_attack.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "exp/campaign.hh"
 #include "exp/result_sink.hh"
@@ -187,8 +188,13 @@ printPaperKeyDetail(const attack::AesAttackConfig &config,
 int
 main(int argc, char **argv)
 {
-    const obs::BenchObsOptions obsOpts = obs::parseBenchObsOptions(
-        argc, argv, "bench-results/fig11_aes_replay.trace.json");
+    obs::BenchObsOptions obsOpts;
+    try {
+        obsOpts = obs::parseBenchObsOptions(
+            argc, argv, "bench-results/fig11_aes_replay.trace.json");
+    } catch (const SimPanic &) {
+        return 2;  // panic() has named the bad argument
+    }
 
     std::printf("==============================================================\n");
     std::printf("Figure 11: probe latency of Td1's 16 lines across 3 replays\n");

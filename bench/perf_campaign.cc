@@ -29,7 +29,6 @@
  *     hard failure otherwise — and the measured speedup lands in
  *     bench-results/BENCH_prefix.json (CI fails the A/B if the fast
  *     arm is not at least as fast; the paper-repro target is >= 2x).
- *     `--prefix-cache={on,off}` / `--pool={on,off}` pin one arm.
  *  5. **Observability A/B** (DESIGN.md §14) — section 2's
  *     fast-forward-on campaign at --obs=off/metrics/trace.
  *     Observation must never perturb results: every arm's
@@ -55,7 +54,6 @@
  *     — a hard failure otherwise — and the measured speedup lands in
  *     bench-results/BENCH_diffreplay.json (CI fails if the fast arm
  *     is not at least break-even; the paper-repro target is >= 1.5x).
- *     `--diffreplay={on,off}` pins one arm.
  *
  * `--section=N` runs exactly one numbered section (1 sharding, 2
  * fast-forward, 3 prefix, 5 obs, 6 diffreplay) — what
@@ -76,6 +74,7 @@
 
 #include "attack/aes_attack.hh"
 #include "attack/port_contention.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "core/microscope.hh"
 #include "crypto/aes.hh"
@@ -385,31 +384,13 @@ writeTextFile(const std::string &path, const std::string &text)
 
 /** Run section 3; returns false on a hard failure. */
 bool
-prefixSection(std::optional<bool> prefix_cache, std::optional<bool> pool,
-              exp::JsonFileSink &sink)
+prefixSection(exp::JsonFileSink &sink)
 {
     std::printf("\n==============================================================\n");
     std::printf("Prefix-snapshot A/B: warmup-heavy Fig.-11-shaped arm, "
                 "%zu trials, %u warm runs\n",
                 prefixTrials, prefixWarmRuns);
     std::printf("==============================================================\n\n");
-
-    if (prefix_cache || pool) {
-        // Pinned mode: measure one configuration, no A/B.
-        const bool cache = prefix_cache.value_or(true);
-        const bool pooled = pool.value_or(true);
-        exp::CampaignResult pinned =
-            exp::runCampaign(prefixSpec("perf_campaign_prefix_pinned",
-                                        cache, pooled));
-        std::printf("prefix-cache=%s pool=%s:\n", cache ? "on" : "off",
-                    pooled ? "on" : "off");
-        report("pinned", pinned);
-        sink.consume(pinned);
-        writeTextFile(cache ? "bench-results/BENCH_prefix_fp_on.txt"
-                            : "bench-results/BENCH_prefix_fp_off.txt",
-                      deterministicFingerprint(pinned));
-        return pinned.aggregate.ok == prefixTrials;
-    }
 
     exp::CampaignResult off = exp::runCampaign(
         prefixSpec("perf_campaign_prefix_off", false, false));
@@ -814,7 +795,7 @@ diffReplaySpec(const char *name, bool differential)
 
 /** Run section 6; returns false on a hard failure. */
 bool
-diffReplaySection(std::optional<bool> pinned, exp::JsonFileSink &sink)
+diffReplaySection(exp::JsonFileSink &sink)
 {
     std::printf("\n==============================================================\n");
     std::printf("Differential-replay A/B: denoise-shaped episodes, %zu "
@@ -822,20 +803,6 @@ diffReplaySection(std::optional<bool> pinned, exp::JsonFileSink &sink)
                 diffTrials,
                 static_cast<unsigned long long>(diffIterations));
     std::printf("==============================================================\n\n");
-
-    if (pinned) {
-        const bool on = *pinned;
-        exp::CampaignResult result = exp::runCampaign(
-            diffReplaySpec("perf_campaign_diffreplay_pinned", on));
-        std::printf("diffreplay=%s:\n", on ? "on" : "off");
-        report("pinned", result);
-        sink.consume(result);
-        writeTextFile(on
-                          ? "bench-results/BENCH_diffreplay_fp_on.txt"
-                          : "bench-results/BENCH_diffreplay_fp_off.txt",
-                      deterministicFingerprint(result));
-        return result.aggregate.ok == diffTrials;
-    }
 
     exp::CampaignResult off = exp::runCampaign(
         diffReplaySpec("perf_campaign_diffreplay_off", false));
@@ -1009,29 +976,14 @@ fastForwardSection(std::optional<bool> pinned, exp::JsonFileSink &sink)
 int
 main(int argc, char **argv)
 {
-    // Peel off this bench's own A/B flags before the shared obs
-    // parser sees (and warns about) them.
-    std::optional<bool> prefixCacheFlag;
-    std::optional<bool> poolFlag;
-    std::optional<bool> diffReplayFlag;
+    // Peel off --section before the shared obs parser sees (and
+    // rejects) it.
     std::optional<unsigned> sectionFlag;
     std::vector<char *> rest;
     rest.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--prefix-cache=on")
-            prefixCacheFlag = true;
-        else if (arg == "--prefix-cache=off")
-            prefixCacheFlag = false;
-        else if (arg == "--pool=on")
-            poolFlag = true;
-        else if (arg == "--pool=off")
-            poolFlag = false;
-        else if (arg == "--diffreplay=on")
-            diffReplayFlag = true;
-        else if (arg == "--diffreplay=off")
-            diffReplayFlag = false;
-        else if (arg.rfind("--section=", 0) == 0) {
+        if (arg.rfind("--section=", 0) == 0) {
             const std::optional<std::uint64_t> n =
                 obs::parseUnsignedValue(arg.c_str() + 10);
             if (!n || *n < 1 || *n > 6 || *n == 4) {
@@ -1045,9 +997,14 @@ main(int argc, char **argv)
         } else
             rest.push_back(argv[i]);
     }
-    const obs::BenchObsOptions opts = obs::parseBenchObsOptions(
-        static_cast<int>(rest.size()), rest.data(),
-        "bench-results/perf_campaign.trace.json");
+    obs::BenchObsOptions opts;
+    try {
+        opts = obs::parseBenchObsOptions(
+            static_cast<int>(rest.size()), rest.data(),
+            "bench-results/perf_campaign.trace.json");
+    } catch (const SimPanic &) {
+        return 2;  // panic() has named the bad argument
+    }
     // Sharding section: fast-forward on unless pinned off, so the
     // throughput numbers reflect the production configuration.
     const bool fig10Ff = opts.fastForward.value_or(true);
@@ -1066,10 +1023,10 @@ main(int argc, char **argv)
     if (want(2))
         ok = fastForwardSection(opts.fastForward, sink) && ok;
     if (want(3))
-        ok = prefixSection(prefixCacheFlag, poolFlag, sink) && ok;
+        ok = prefixSection(sink) && ok;
     if (want(5))
         ok = obsSection(opts.obsLevel) && ok;
     if (want(6))
-        ok = diffReplaySection(diffReplayFlag, sink) && ok;
+        ok = diffReplaySection(sink) && ok;
     return ok ? 0 : 1;
 }

@@ -343,13 +343,6 @@ Microscope::episodeSnapshot() const
 }
 
 void
-Microscope::dropEpisodeSnapshot()
-{
-    episodeSnap_ = os::Snapshot{};
-    snapPending_ = false;
-}
-
-void
 Microscope::adoptEpisodeState(const EpisodeState &state)
 {
     // Machine restores wipe the kernel's fault-module registration
@@ -367,23 +360,15 @@ Microscope::adoptEpisodeState(const EpisodeState &state)
 void
 Microscope::restoreEpisode(std::uint64_t seed)
 {
-    restoreEpisodeFrom(episodeSnapshot(), episodeSt_, seed);
-}
-
-void
-Microscope::restoreEpisodeFrom(const os::Snapshot &snap,
-                               const EpisodeState &state,
-                               std::uint64_t seed)
-{
     // Order matters: restoreFrom rewinds every stream to snapshot-era
     // positions, then reseed() re-derives them (and re-anchors the
     // fault schedules) at the restored cycle — the same restore +
     // reseed pair the campaign executor uses per trial, one level
-    // deeper.  The adopted EpisodeState makes this instance continue
-    // the §4.1.4 loop exactly where the snapshotted one stood.
-    machine_.restoreFrom(snap);
+    // deeper.  The adopted EpisodeState continues the §4.1.4 loop
+    // exactly where the snapshot stood.
+    machine_.restoreFrom(episodeSnapshot());
     machine_.reseed(seed);
-    adoptEpisodeState(state);
+    adoptEpisodeState(episodeSt_);
 }
 
 void

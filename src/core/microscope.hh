@@ -165,15 +165,11 @@ class Microscope : public os::FaultModule
 
     bool hasEpisodeSnapshot() const { return episodeSnap_.valid(); }
 
-    /** The captured snapshot (fatal if none); movable into an
-     *  artifact for cross-instance reuse via restoreEpisodeFrom(). */
+    /** The captured snapshot (fatal if none). */
     const os::Snapshot &episodeSnapshot() const;
 
     /** Engine loop position as of takeEpisodeSnapshot(). */
     const EpisodeState &episodeState() const { return episodeSt_; }
-
-    /** Drop the captured snapshot (frees its COW pages). */
-    void dropEpisodeSnapshot();
 
     /**
      * One differential replay iteration: restore the machine from the
@@ -185,16 +181,6 @@ class Microscope : public os::FaultModule
      * logs instead of copying it (Machine::restoreFrom).
      */
     void restoreEpisode(std::uint64_t seed);
-
-    /**
-     * Cross-instance variant: restore from an externally held episode
-     * snapshot + state (e.g. minted by a campaign warmup's Microscope
-     * and carried in the warmup artifact).  This instance must be
-     * registered on the same machine and carry an equivalent recipe.
-     */
-    void restoreEpisodeFrom(const os::Snapshot &snap,
-                            const EpisodeState &state,
-                            std::uint64_t seed);
 
     /** Adopt @p state verbatim (loop position of a forked episode). */
     void adoptEpisodeState(const EpisodeState &state);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <mutex>
 #include <thread>
 
@@ -60,20 +61,10 @@ deriveTrialSeed(std::uint64_t master, std::uint64_t index)
 }
 
 std::uint64_t
-deriveRetrySeed(std::uint64_t master, std::uint64_t index,
-                unsigned attempt)
-{
-    const std::uint64_t base = deriveTrialSeed(master, index);
-    if (attempt == 0)
-        return base;
-    return mix64(mix64(base) ^ mix64(~std::uint64_t{attempt}));
-}
-
-std::uint64_t
 deriveWarmupSeed(std::uint64_t master)
 {
     // A fixed odd constant (the SplitMix64 increment) stands in for
-    // the index that trial/retry seeds mix in, keeping the warmup
+    // the index that trial seeds mix in, keeping the warmup
     // stream decorrelated from every per-trial stream.
     return mix64(mix64(master) ^ 0x9E3779B97F4A7C15ull);
 }
@@ -104,7 +95,6 @@ trialStatusName(TrialStatus status)
       case TrialStatus::Ok: return "ok";
       case TrialStatus::Failed: return "failed";
       case TrialStatus::TimedOut: return "timed_out";
-      case TrialStatus::Retried: return "retried";
     }
     return "?";
 }
@@ -169,8 +159,6 @@ TrialResult::toJson() const
                         .set("status", trialStatusName(status))
                         .set("wall_seconds", wallSeconds)
                         .set("sim_cycles", output.simCycles);
-    if (attempts != 1)
-        v.set("attempts", attempts);
     if (!error.empty())
         v.set("error", error);
     if (output.metric.count())
@@ -189,7 +177,6 @@ CampaignAggregate::toJson() const
         .set("ok", std::uint64_t{ok})
         .set("failed", std::uint64_t{failed})
         .set("timed_out", std::uint64_t{timedOut})
-        .set("retried", std::uint64_t{retried})
         .set("sim_cycles", simCycles)
         .set("metric", exp::toJson(metric))
         .set("scope", json::Value::object()
@@ -229,7 +216,6 @@ CampaignResult::toJson(bool include_trials) const
             .set("master_seed", masterSeed)
             .set("workers", std::uint64_t{workers})
             .set("resumed_trials", std::uint64_t{resumedTrials})
-            .set("worker_deaths", std::uint64_t{workerDeaths})
             .set("wall_seconds", wallSeconds)
             .set("trials_per_second", trialsPerSecond())
             .set("sim_cycles_per_second", simCyclesPerSecond())
@@ -266,8 +252,8 @@ CampaignRunner::CampaignRunner(CampaignSpec spec) : spec_(std::move(spec))
 
 /**
  * Per-executor machine pool and post-warmup snapshot cache.  Owned by
- * exactly one worker thread (or the serial grace pass): the snapshot
- * and its forks COW-share pages through non-atomic refcounts.
+ * exactly one worker thread: the snapshot and its forks COW-share
+ * pages through non-atomic refcounts.
  */
 struct TrialExecutor::State
 {
@@ -334,25 +320,19 @@ TrialExecutor::acquireMachine(const CampaignSpec &spec,
 }
 
 TrialResult
-TrialExecutor::runAttempt(const CampaignSpec &spec, std::size_t index,
-                          unsigned worker, unsigned attempt)
+TrialExecutor::runTrial(const CampaignSpec &spec, std::size_t index,
+                        unsigned worker)
 {
     TrialContext ctx;
     ctx.index = index;
-    ctx.seed = deriveRetrySeed(spec.masterSeed, index, attempt);
+    ctx.seed = deriveTrialSeed(spec.masterSeed, index);
     ctx.worker = worker;
     ctx.cycleBudget = spec.cycleBudget;
-    ctx.machine.seed = ctx.seed;
-    if (spec.machineFactory) {
+    if (spec.machineFactory)
         ctx.machine = spec.machineFactory(ctx);
-        // A factory that never thought about seeding still gets a
-        // deterministic per-trial stream.  os::Seed records whether
-        // the factory assigned one, so a factory that deliberately
-        // picks the default value (42) is honoured rather than
-        // silently re-seeded.
-        if (!ctx.machine.seed.explicitlySet)
-            ctx.machine.seed = ctx.seed;
-    }
+    // Stamped after the factory: a trial's streams depend only on
+    // (masterSeed, index), whatever seed the factory left behind.
+    ctx.machine.seed = ctx.seed;
     // The observability dial: tracing rides the trial's MachineConfig,
     // so it reaches self-built machines (bodies construct from
     // ctx.machine), warm forks (warm_config copies ctx.machine), and
@@ -458,31 +438,6 @@ TrialExecutor::runAttempt(const CampaignSpec &spec, std::size_t index,
     return result;
 }
 
-TrialResult
-TrialExecutor::runTrial(const CampaignSpec &spec, std::size_t index,
-                        unsigned worker)
-{
-    TrialResult result = runAttempt(spec, index, worker, 0);
-    // Retry failures only: a TimedOut trial really consumed its budget
-    // — that is a measurement — and retrying Ok makes no sense.  The
-    // retry count is a pure function of the seeds, so fingerprints
-    // stay identical across worker counts.
-    unsigned attempts = 1;
-    while (result.status == TrialStatus::Failed &&
-           attempts <= spec.maxRetries) {
-        TrialResult retry = runAttempt(spec, index, worker, attempts);
-        retry.wallSeconds += result.wallSeconds;
-        if (retry.status == TrialStatus::Ok) {
-            retry.status = TrialStatus::Retried;
-            retry.error = std::move(result.error);
-        }
-        result = std::move(retry);
-        ++attempts;
-    }
-    result.attempts = attempts;
-    return result;
-}
-
 CampaignAggregate
 aggregateTrials(const std::vector<TrialResult> &results)
 {
@@ -492,7 +447,6 @@ aggregateTrials(const std::vector<TrialResult> &results)
           case TrialStatus::Ok: ++aggregate.ok; break;
           case TrialStatus::Failed: ++aggregate.failed; break;
           case TrialStatus::TimedOut: ++aggregate.timedOut; break;
-          case TrialStatus::Retried: ++aggregate.retried; break;
         }
         aggregate.metric.merge(trial.output.metric);
         aggregate.scope.merge(trial.output.scope);
@@ -549,10 +503,8 @@ CampaignRunner::run()
         workers = 1;
 
     std::vector<TrialResult> results(total);
-    // done[i] flips exactly once, by the one worker that claimed i (or
-    // by checkpoint restore before the pool starts); the grace pass
-    // reads it after join().  It is what distinguishes "claimed but
-    // never finished" (dead worker) from "completed".
+    // done[i] marks a trial restored from a checkpoint; it is written
+    // before the pool starts and only read afterwards.
     std::vector<char> done(total, 0);
 
     CampaignCheckpoint checkpoint(spec_);
@@ -561,8 +513,9 @@ CampaignRunner::run()
 
     std::atomic<std::size_t> next{0};
     std::size_t completed = resumed;
-    unsigned deadWorkers = 0;
     obs::ProfData profTotal;
+    // The first exception that escaped a worker's per-trial catch.
+    std::exception_ptr escaped;
     std::mutex lock;
 
     const auto start = std::chrono::steady_clock::now();
@@ -581,52 +534,31 @@ CampaignRunner::run()
         // snapshot (plus its COW forks) live and die on this worker.
         TrialExecutor executor;
         executor.beginCampaign(spec_);
-        // Merge this worker's phase profile on every exit path — a
-        // dying worker's measured trials still count.
-        struct ProfReport
-        {
-            TrialExecutor &executor;
-            obs::ProfData &total;
-            std::mutex &lock;
-            ~ProfReport()
-            {
-                if (executor.prof().empty())
-                    return;
-                std::lock_guard<std::mutex> guard(lock);
-                total.merge(executor.prof());
-            }
-        } prof_report{executor, profTotal, lock};
         try {
             for (;;) {
                 const std::size_t index = claimNext();
                 if (index >= total)
-                    return;
+                    break;
                 TrialResult result =
                     executor.runTrial(spec_, index, worker);
                 checkpoint.store(result);
                 std::lock_guard<std::mutex> guard(lock);
                 results[index] = std::move(result);
-                done[index] = 1;
                 ++completed;
                 if (spec_.progress)
                     spec_.progress(completed, total);
             }
-        } catch (const std::exception &e) {
-            // Anything escaping the per-trial shield (a throwing
-            // progress callback, bad_alloc moving results) kills only
-            // this worker; the grace pass below finishes its trials.
-            std::lock_guard<std::mutex> guard(lock);
-            ++deadWorkers;
-            warn("campaign '%s': worker %u died (%s); finishing "
-                 "its trials serially",
-                 spec_.name.c_str(), worker, e.what());
         } catch (...) {
+            // Not a trial's error (runTrial records those): a throwing
+            // progress callback, bad_alloc.  Every worker stops
+            // claiming, and run() rethrows once the pool has joined.
+            next.store(total, std::memory_order_relaxed);
             std::lock_guard<std::mutex> guard(lock);
-            ++deadWorkers;
-            warn("campaign '%s': worker %u died (unknown "
-                 "exception); finishing its trials serially",
-                 spec_.name.c_str(), worker);
+            if (!escaped)
+                escaped = std::current_exception();
         }
+        std::lock_guard<std::mutex> guard(lock);
+        profTotal.merge(executor.prof());
     };
 
     if (workers == 1) {
@@ -642,25 +574,8 @@ CampaignRunner::run()
         for (std::thread &thread : pool)
             thread.join();
     }
-
-    // Grace pass: every trial a dead worker claimed but never stored
-    // re-runs here, serially.  Results are unchanged (a trial depends
-    // only on its seed); the progress callback is deliberately not
-    // re-invoked — it may be exactly what killed the worker.
-    // Worker pools/snapshot caches died with their threads; the grace
-    // pass warms its own (results are unchanged — a trial depends only
-    // on its seed, and forked trials are bit-identical to cold ones).
-    TrialExecutor grace;
-    grace.beginCampaign(spec_);
-    for (std::size_t index = 0; index < total; ++index) {
-        if (done[index])
-            continue;
-        TrialResult result = grace.runTrial(spec_, index, /*worker=*/0);
-        checkpoint.store(result);
-        results[index] = std::move(result);
-        done[index] = 1;
-    }
-    profTotal.merge(grace.prof());
+    if (escaped)
+        std::rethrow_exception(escaped);
 
     CampaignResult campaign;
     campaign.name = spec_.name;
@@ -668,24 +583,19 @@ CampaignRunner::run()
     campaign.masterSeed = spec_.masterSeed;
     campaign.workers = workers;
     campaign.resumedTrials = resumed;
-    campaign.workerDeaths = deadWorkers;
     campaign.prof = std::move(profTotal);
 
     // Aggregation happens here, single-threaded and in index order —
     // *never* in completion order — so N-worker and 1-worker runs of
     // the same spec produce bit-identical aggregates.
     campaign.aggregate = aggregateTrials(results);
-    for (TrialResult &trial : results) {
-        if (spec_.reduce)
-            spec_.reduce(trial);
-        // Aggregate-only campaigns drop each snapshot right after the
-        // aggregate fold (and after the reducer saw it): the retained
-        // trials stay light and toJson() skips the per-trial metric
-        // blocks entirely, instead of serializing and then ignoring
-        // them.
-        if (!spec_.perTrialMetrics)
+    // Aggregate-only campaigns drop each snapshot right after the
+    // aggregate fold: the retained trials stay light and toJson()
+    // skips the per-trial metric blocks entirely, instead of
+    // serializing and then ignoring them.
+    if (!spec_.perTrialMetrics)
+        for (TrialResult &trial : results)
             trial.output.metrics = obs::MetricSnapshot{};
-    }
     campaign.trials = std::move(results);
     campaign.wallSeconds = elapsedSeconds(start);
     return campaign;

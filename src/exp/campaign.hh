@@ -18,10 +18,12 @@
  *    are aggregated *in trial-index order* after the pool joins, so a
  *    campaign's aggregate is bit-identical regardless of the worker
  *    count or the order trials happened to finish in.
- *  - **Robustness.** A trial that throws is recorded as Failed (with
- *    the exception text) and a trial that exceeds its cycle budget is
- *    recorded as TimedOut — both are *results*, not crashes; the
- *    campaign keeps going.
+ *  - **Robustness.** Every trial runs exactly once.  A trial that
+ *    throws is recorded as Failed (with the exception text) and a
+ *    trial that exceeds its cycle budget is recorded as TimedOut —
+ *    both are *results*, not crashes; the campaign keeps going.
+ *    Checkpoint/resume (exp/checkpoint.hh) is the one way to recover
+ *    a campaign that stopped.
  *
  * Results export to JSON through exp::ResultSink (result_sink.hh).
  * Observability (DESIGN.md §14) is a side channel: CampaignSpec::
@@ -61,20 +63,10 @@ namespace uscope::exp
 std::uint64_t deriveTrialSeed(std::uint64_t master, std::uint64_t index);
 
 /**
- * Deterministic seed for retry attempt @p attempt of trial @p index.
- * Attempt 0 is the first run and equals deriveTrialSeed(master, index);
- * later attempts mix the attempt number in, so a retry draws a fresh,
- * decorrelated stream instead of deterministically replaying the
- * failure — while remaining reproducible across reruns and resumes.
- */
-std::uint64_t deriveRetrySeed(std::uint64_t master, std::uint64_t index,
-                              unsigned attempt);
-
-/**
  * Deterministic seed for a campaign's warmup prefix (DESIGN.md §12).
  * Depends only on the master seed — the warmup is shared by every
  * trial, so it must not favour any trial's stream — and is mixed away
- * from deriveTrialSeed/deriveRetrySeed values.
+ * from deriveTrialSeed values.
  */
 std::uint64_t deriveWarmupSeed(std::uint64_t master);
 
@@ -113,8 +105,8 @@ struct TrialContext
     Cycles cycleBudget = 0;
     /**
      * Machine configuration for this trial, produced by the spec's
-     * machineFactory (or default-constructed), with `seed` stamped to
-     * the trial seed.  The body constructs `os::Machine machine
+     * machineFactory (or default-constructed), with its seed always
+     * stamped to the trial seed.  The body constructs `os::Machine machine
      * (ctx.machine)` — one private machine per trial.
      */
     os::MachineConfig machine;
@@ -188,12 +180,7 @@ struct TrialOutput
     obs::EventLog trace;
 };
 
-/**
- * Retried means the trial *succeeded*, but only after one or more
- * failed attempts — kept distinct from Ok so noisy-campaign reports
- * can't silently launder flaky trials into clean ones.
- */
-enum class TrialStatus { Ok, Failed, TimedOut, Retried };
+enum class TrialStatus { Ok, Failed, TimedOut };
 
 const char *trialStatusName(TrialStatus status);
 
@@ -201,16 +188,11 @@ const char *trialStatusName(TrialStatus status);
 struct TrialResult
 {
     std::size_t index = 0;
-    /** Seed of the attempt that produced `output`: the trial seed for
-     *  attempts == 1, deriveRetrySeed(master, index, attempts - 1)
-     *  after retries. */
+    /** deriveTrialSeed(masterSeed, index). */
     std::uint64_t seed = 0;
     TrialStatus status = TrialStatus::Ok;
-    /** Exception text when status != Ok; for Retried, the text of the
-     *  most recent failed attempt (kept for the record). */
+    /** Exception text when status != Ok. */
     std::string error;
-    /** Body invocations this result took (1 = no retries). */
-    unsigned attempts = 1;
     /** Host wall-clock seconds spent in the body (informational;
      *  excluded from determinism comparisons). */
     double wallSeconds = 0.0;
@@ -233,15 +215,6 @@ struct CampaignSpec
     /** Per-trial simulated-cycle budget; 0 = unbounded.  A trial whose
      *  reported simCycles exceeds this is recorded as TimedOut. */
     Cycles cycleBudget = 0;
-    /**
-     * Extra attempts granted to a trial whose body *throws*.  Attempt
-     * k runs with deriveRetrySeed(masterSeed, index, k); a trial that
-     * eventually succeeds is recorded as Retried (with the attempt
-     * count), one that exhausts its attempts stays Failed.  TimedOut
-     * is a measurement — the budget was genuinely consumed — and is
-     * never retried.
-     */
-    unsigned maxRetries = 0;
     /**
      * When non-empty: checkpoint every finished trial into this
      * directory (atomic per-trial files + a manifest; see
@@ -306,25 +279,18 @@ struct CampaignSpec
 
     /**
      * Optional factory producing the MachineConfig for a trial (sweep
-     * ROB sizes, defenses, cache geometry...).  The runner stamps the
-     * trial seed into the returned config unless the factory assigned
-     * a seed itself — os::Seed tracks assignment explicitly, so even
-     * deliberately choosing the default value (42) counts as "set"
-     * and is honoured.
+     * ROB sizes, defenses, cache geometry...).  The runner overwrites
+     * the returned config's seed with the trial seed, so a trial's
+     * result depends only on (masterSeed, index).
      */
     std::function<os::MachineConfig(const TrialContext &)> machineFactory;
-
-    /**
-     * Optional reducer: invoked once per trial *in index order* on the
-     * calling thread after the pool joins — the deterministic place to
-     * fold per-trial payloads into campaign-level state.
-     */
-    std::function<void(const TrialResult &)> reduce;
 
     /**
      * Optional progress callback, invoked as (completed, total) each
      * time a trial finishes.  Called from worker threads under the
      * runner's lock, in completion (not index) order; keep it cheap.
+     * An exception it throws stops the campaign: run() rethrows it
+     * once the pool has joined.
      */
     std::function<void(std::size_t, std::size_t)> progress;
 
@@ -355,8 +321,6 @@ struct CampaignAggregate
     std::size_t ok = 0;
     std::size_t failed = 0;
     std::size_t timedOut = 0;
-    /** Succeeded-after-retry trials (disjoint from `ok`). */
-    std::size_t retried = 0;
 
     json::Value toJson() const;
 };
@@ -371,9 +335,6 @@ struct CampaignResult
     double wallSeconds = 0.0;
     /** Trials restored from a checkpoint instead of executed. */
     std::size_t resumedTrials = 0;
-    /** Worker threads that died mid-campaign (their claimed trials
-     *  were finished serially by the grace pass). */
-    unsigned workerDeaths = 0;
     CampaignAggregate aggregate;
     /** Per-trial results, in index order. */
     std::vector<TrialResult> trials;
@@ -418,8 +379,8 @@ class TrialExecutor
      */
     void beginCampaign(const CampaignSpec &spec);
 
-    /** Run trial @p index of @p spec, including the spec's retry
-     *  policy.  `worker` is informational (lands in ctx.worker). */
+    /** Run trial @p index of @p spec once, with its trial seed.
+     *  `worker` is informational (lands in ctx.worker). */
     TrialResult runTrial(const CampaignSpec &spec, std::size_t index,
                          unsigned worker);
 
@@ -431,8 +392,6 @@ class TrialExecutor
   private:
     struct State;
 
-    TrialResult runAttempt(const CampaignSpec &spec, std::size_t index,
-                           unsigned worker, unsigned attempt);
     /** Pooled (or scratch) machine with @p config's structure, reset
      *  to seed-fresh state when @p reset_state. */
     os::Machine &acquireMachine(const CampaignSpec &spec,
@@ -454,8 +413,7 @@ CampaignAggregate aggregateTrials(const std::vector<TrialResult> &results);
 /**
  * The campaign's determinism fingerprint: the aggregate JSON plus
  * every trial's payload, metrics, sim cycles, and status — everything
- * except wall-clock noise (wall seconds, worker counts, retry
- * attempt counts).  Two runs of the same spec must produce identical
+ * except wall-clock noise (wall seconds, worker counts).  Two runs of the same spec must produce identical
  * fingerprints regardless of worker count, fast-forward mode, prefix
  * caching, checkpoint resume, or observability level.
  */
@@ -468,13 +426,13 @@ std::string fnv1aHex(const std::string &s);
 /**
  * Runs a CampaignSpec over a thread pool.
  *
- * Robustness contract (in addition to per-trial Failed/TimedOut
- * results): a worker thread that dies mid-campaign — a throwing
- * progress callback, bad_alloc, a checkpoint I/O panic — degrades
- * throughput, never results.  The survivors keep draining, and after
- * the pool joins a serial grace pass finishes any trial the dead
- * worker claimed but never completed; determinism is unaffected
- * because a trial's result depends only on its seed.
+ * Workers catch every error a trial raises and record it as the
+ * trial's result.  An exception that escapes that per-trial catch —
+ * a throwing progress callback, bad_alloc, a checkpoint I/O panic —
+ * stops the campaign: the other workers claim no further trials, and
+ * run() rethrows the first such exception after the pool joins.
+ * Trials already checkpointed are restored by the next run of the
+ * same spec.
  *
  * The constructor validates the spec and throws std::invalid_argument
  * for a missing trial body or a zero trial count.

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <charconv>
-#include <climits>
 #include <cstring>
 #include <fcntl.h>
 #include <filesystem>
@@ -19,8 +18,8 @@ namespace uscope::exp
 namespace
 {
 
-constexpr const char *trialMagic = "uscope-trial-v1";
-constexpr const char *manifestMagic = "uscope-campaign-v1";
+constexpr const char *trialMagic = "uscope-trial-v2";
+constexpr const char *manifestMagic = "uscope-campaign-v2";
 
 /** Doubles persist as the hex of their bit pattern — the only text
  *  encoding that round-trips NaN payloads and signed zeros exactly. */
@@ -159,8 +158,7 @@ std::optional<TrialStatus>
 statusFromName(const std::string &name)
 {
     for (TrialStatus status :
-         {TrialStatus::Ok, TrialStatus::Failed, TrialStatus::TimedOut,
-          TrialStatus::Retried}) {
+         {TrialStatus::Ok, TrialStatus::Failed, TrialStatus::TimedOut}) {
         if (name == trialStatusName(status))
             return status;
     }
@@ -180,7 +178,6 @@ CampaignCheckpoint::serializeTrial(const TrialResult &result)
     out += format("seed %llu\n",
                   static_cast<unsigned long long>(result.seed));
     out += format("status %s\n", trialStatusName(result.status));
-    out += format("attempts %u\n", result.attempts);
     out += "wall " + hexBits(result.wallSeconds) + '\n';
     out += format("sim_cycles %llu\n",
                   static_cast<unsigned long long>(result.output.simCycles));
@@ -236,11 +233,6 @@ CampaignCheckpoint::parseTrial(const std::string &text)
     if (!status)
         return std::nullopt;
     out.status = *status;
-    r.expect("attempts");
-    const std::uint64_t attempts = r.u64();
-    if (attempts == 0 || attempts > UINT_MAX)
-        return std::nullopt;
-    out.attempts = static_cast<unsigned>(attempts);
     r.expect("wall");
     out.wallSeconds = r.bits();
     r.expect("sim_cycles");
@@ -315,14 +307,12 @@ CampaignCheckpoint::manifestText() const
                   static_cast<unsigned long long>(masterSeed_));
     out += format("cycle_budget %llu\n",
                   static_cast<unsigned long long>(cycleBudget_));
-    out += format("max_retries %u\n", maxRetries_);
     return out;
 }
 
 CampaignCheckpoint::CampaignCheckpoint(const CampaignSpec &spec)
     : dir_(spec.checkpointDir), name_(spec.name), trials_(spec.trials),
-      masterSeed_(spec.masterSeed), cycleBudget_(spec.cycleBudget),
-      maxRetries_(spec.maxRetries)
+      masterSeed_(spec.masterSeed), cycleBudget_(spec.cycleBudget)
 {
     if (dir_.empty())
         return;
@@ -380,8 +370,7 @@ CampaignCheckpoint::loadTrial(std::size_t index) const
     const bool valid =
         trial->index == index &&
         trial->status != TrialStatus::Failed &&
-        trial->seed ==
-            deriveRetrySeed(masterSeed_, index, trial->attempts - 1);
+        trial->seed == deriveTrialSeed(masterSeed_, index);
     if (!valid) {
         warn("campaign '%s': checkpoint '%s' is stale or "
              "inconsistent with this campaign; re-running trial "

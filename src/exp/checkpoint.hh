@@ -7,10 +7,13 @@
  * going through writeFileAtomic (tmp + rename) so a kill at any
  * instant leaves either the previous file or the new one — never a
  * torn one.  A manifest records the spec identity (name, trial count,
- * master seed, cycle budget, retry policy); a rerun whose spec matches
- * the manifest restores completed trials and only executes the rest,
- * and because trials are bit-deterministic in their seed, the resumed
- * campaign's aggregate is bit-identical to an uninterrupted run.
+ * master seed, cycle budget); a rerun whose spec matches the manifest
+ * restores completed trials and only executes the rest, and because
+ * each trial runs once with its trial seed, the resumed campaign's
+ * aggregate is bit-identical to an uninterrupted run.  This is the
+ * one way to recover a campaign: a run that stopped — killed, or
+ * ended by an exception CampaignRunner::run() rethrew — resumes
+ * from here.
  *
  * The serialization is a self-describing text format, not JSON — the
  * JSON layer is write-only by design (common/json.hh) and, more
@@ -22,8 +25,8 @@
  *
  * Failed trials are deliberately *not* persisted: a failure may have
  * been caused by whatever interrupted the campaign, so a resume
- * re-attempts it.  Ok, TimedOut, and Retried trials are deterministic
- * measurements and are skipped on resume.
+ * re-runs it.  Ok and TimedOut trials are deterministic measurements
+ * and are skipped on resume.
  */
 
 #ifndef USCOPE_EXP_CHECKPOINT_HH
@@ -111,7 +114,6 @@ class CampaignCheckpoint
     std::size_t trials_ = 0;
     std::uint64_t masterSeed_ = 0;
     std::uint64_t cycleBudget_ = 0;
-    unsigned maxRetries_ = 0;
     bool resuming_ = false;
 };
 

@@ -102,10 +102,10 @@ parseBenchObsOptions(int argc, char **argv,
                 panic("--obs requires off|metrics|trace");
             opts.obsLevel = level;
         } else {
-            warn("ignoring unknown argument '%s' "
-                 "(known: --trace[=PATH], --trace-capacity=N, "
-                 "--metrics, --fast-forward={on,off}, --obs=LEVEL)",
-                 arg);
+            panic("unknown argument '%s' (known: --trace[=PATH], "
+                  "--trace-capacity=N, --metrics, "
+                  "--fast-forward={on,off}, --obs=LEVEL)",
+                  arg);
         }
     }
     return opts;

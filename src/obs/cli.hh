@@ -18,9 +18,9 @@
  *                      decides" — perf_campaign's obs section uses it
  *                      to re-run one arm of its A/B.
  *
- * Unknown arguments warn and are ignored so the benches stay ctest-
- * and script-friendly.  Diagnostics go through warn()/inform()
- * (common/logging.hh).
+ * An unknown argument is an error, like a bad value: both panic()
+ * (common/logging.hh), and the benches turn the SimPanic into exit
+ * status 2, so a misspelt flag never runs the default workload.
  */
 
 #ifndef USCOPE_OBS_CLI_HH

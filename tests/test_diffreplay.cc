@@ -471,56 +471,6 @@ TEST(DiffReplayEngine, TraceBitIdentity)
     }
 }
 
-TEST(DiffReplayEngine, CrossInstanceRestoreMatchesInPlace)
-{
-    // An episode frozen on one Machine re-enters on a *different*
-    // Machine instance (same structural config) bit-identically:
-    // restoreEpisodeFrom carries the full simulated state, and
-    // adoptEpisodeState re-wires the engine, so which host object
-    // runs the window is invisible to the results.
-    os::Machine a;
-    ms::Microscope scopeA(a);
-    const PfVictim victim = makePfVictim(a.kernel());
-
-    const auto armOn = [&victim](ms::Microscope &scope) {
-        ms::AttackRecipe recipe;
-        recipe.victim = victim.pid;
-        recipe.replayHandle = victim.handle;
-        recipe.confidence = 2;
-        recipe.maxEpisodes = 1;
-        recipe.differentialReplay = true;
-        scope.setRecipe(std::move(recipe));
-    };
-    armOn(scopeA);
-    scopeA.arm();
-    a.kernel().startOnContext(victim.pid, 0, victim.program);
-    ASSERT_TRUE(a.runUntil(
-        [&]() { return scopeA.episodeSnapshotPending(); }, kRunBudget));
-    scopeA.takeEpisodeSnapshot();
-
-    // In place: the originating machine runs the window.
-    constexpr std::uint64_t kSeed = 77;
-    scopeA.restoreEpisodeFrom(scopeA.episodeSnapshot(),
-                              scopeA.episodeState(), kSeed);
-    ASSERT_TRUE(a.runUntilHalted(0, kRunBudget));
-    const Cycles wantHalt = a.cycle();
-    const std::uint64_t wantReplays = scopeA.stats().totalReplays;
-    const std::uint64_t wantRetired = a.core().stats(0).retired;
-
-    // Cross-instance: a fresh machine that never built the victim
-    // adopts the snapshot.  The recipe's pids and addresses are the
-    // frozen machine's — the restore brings the matching processes.
-    os::Machine b;
-    ms::Microscope scopeB(b);
-    armOn(scopeB);
-    scopeB.restoreEpisodeFrom(scopeA.episodeSnapshot(),
-                              scopeA.episodeState(), kSeed);
-    ASSERT_TRUE(b.runUntilHalted(0, kRunBudget));
-    EXPECT_EQ(b.cycle(), wantHalt);
-    EXPECT_EQ(scopeB.stats().totalReplays, wantReplays);
-    EXPECT_EQ(b.core().stats(0).retired, wantRetired);
-}
-
 TEST(DiffReplayEngine, PhysMemFastReshare)
 {
     // Repeated restores from one frozen snapshot rewind PhysMem's

@@ -285,7 +285,9 @@ TEST(Campaign, ThrowingTrialIsRecordedNotFatal)
 {
     exp::CampaignSpec spec = syntheticSpec(8, 3);
     auto inner = spec.body;
-    spec.body = [inner](const exp::TrialContext &ctx) {
+    std::atomic<unsigned> invocations{0};
+    spec.body = [inner, &invocations](const exp::TrialContext &ctx) {
+        ++invocations;
         if (ctx.index == 3)
             throw std::runtime_error("injected trial failure");
         if (ctx.index == 5)
@@ -302,6 +304,9 @@ TEST(Campaign, ThrowingTrialIsRecordedNotFatal)
     EXPECT_EQ(result.trials[5].error, "unknown exception");
     // The failed trials contribute nothing to the aggregate metric.
     EXPECT_EQ(result.aggregate.metric.count(), 6u * 257u);
+    // Every trial ran exactly once, failed ones with their trial seed.
+    EXPECT_EQ(invocations.load(), 8u);
+    EXPECT_EQ(result.trials[3].seed, exp::deriveTrialSeed(1234, 3));
 }
 
 TEST(Campaign, CycleBudgetTimesOutAsResult)
@@ -329,13 +334,9 @@ TEST(Campaign, CycleBudgetTimesOutAsResult)
     EXPECT_EQ(result.trials[4].output.simCycles, 1'000'000u);
 }
 
-TEST(Campaign, ReducerRunsInIndexOrderAndProgressIsMonotonic)
+TEST(Campaign, ProgressIsMonotonic)
 {
     exp::CampaignSpec spec = syntheticSpec(32, 4);
-    std::vector<std::size_t> reduced;
-    spec.reduce = [&](const exp::TrialResult &trial) {
-        reduced.push_back(trial.index);
-    };
     std::vector<std::size_t> progress;
     spec.progress = [&](std::size_t done, std::size_t total) {
         EXPECT_EQ(total, 32u);
@@ -343,9 +344,6 @@ TEST(Campaign, ReducerRunsInIndexOrderAndProgressIsMonotonic)
     };
 
     exp::runCampaign(std::move(spec));
-    ASSERT_EQ(reduced.size(), 32u);
-    for (std::size_t i = 0; i < reduced.size(); ++i)
-        EXPECT_EQ(reduced[i], i);
     ASSERT_EQ(progress.size(), 32u);
     for (std::size_t i = 0; i < progress.size(); ++i)
         EXPECT_EQ(progress[i], i + 1);
@@ -397,64 +395,32 @@ TEST(Campaign, RealMachineTrialsAreDeterministic)
 
 TEST(Campaign, MachineFactorySeedStamping)
 {
-    exp::CampaignSpec spec;
-    spec.trials = 3;
-    spec.masterSeed = 77;
-    spec.workers = 1;
-    std::vector<std::uint64_t> seeds;
-    spec.machineFactory = [](const exp::TrialContext &) {
-        return os::MachineConfig{};  // forgot to seed — runner stamps it
-    };
-    spec.body = [&](const exp::TrialContext &ctx) {
-        seeds.push_back(ctx.machine.seed);
-        return exp::TrialOutput{};
-    };
-    exp::runCampaign(std::move(spec));
-    ASSERT_EQ(seeds.size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i)
-        EXPECT_EQ(seeds[i], exp::deriveTrialSeed(77, i));
-}
-
-TEST(Campaign, MachineFactorySettingDefaultSeedValueIsHonoured)
-{
-    // Regression: a factory that *deliberately* chooses the default
-    // seed value (42) used to be indistinguishable from one that never
-    // seeded, and was silently re-stamped with the trial seed.
-    exp::CampaignSpec spec;
-    spec.trials = 3;
-    spec.masterSeed = 77;
-    spec.workers = 1;
-    std::vector<std::uint64_t> seeds;
-    spec.machineFactory = [](const exp::TrialContext &) {
-        os::MachineConfig config;
-        config.seed = 42;  // deliberately the default value
-        return config;
-    };
-    spec.body = [&](const exp::TrialContext &ctx) {
-        seeds.push_back(ctx.machine.seed);
-        return exp::TrialOutput{};
-    };
-    exp::runCampaign(std::move(spec));
-    ASSERT_EQ(seeds.size(), 3u);
-    for (std::uint64_t seed : seeds)
-        EXPECT_EQ(seed, 42u);
-}
-
-TEST(Seed, TracksExplicitAssignment)
-{
-    os::Seed seed;
-    EXPECT_FALSE(seed.explicitlySet);
-    EXPECT_EQ(static_cast<std::uint64_t>(seed), 42u);
-
-    seed = 42;  // assigning the default value still counts as "set"
-    EXPECT_TRUE(seed.explicitlySet);
-
-    os::MachineConfig config;
-    EXPECT_FALSE(config.seed.explicitlySet);
-    config.seed = 7;
-    EXPECT_TRUE(config.seed.explicitlySet);
-    // Arithmetic through the implicit conversion keeps working.
-    EXPECT_EQ(config.seed * 3 + 1, 22u);
+    // Whatever seed the factory leaves in the config — the default, or
+    // one it assigned itself — the trial runs with its trial seed.
+    for (const std::optional<std::uint64_t> assigned :
+         {std::optional<std::uint64_t>{}, std::optional<std::uint64_t>{42},
+          std::optional<std::uint64_t>{7}}) {
+        exp::CampaignSpec spec;
+        spec.trials = 3;
+        spec.masterSeed = 77;
+        spec.workers = 1;
+        std::vector<std::uint64_t> seeds;
+        spec.machineFactory = [assigned](const exp::TrialContext &) {
+            os::MachineConfig config;
+            if (assigned)
+                config.seed = *assigned;
+            return config;
+        };
+        spec.body = [&](const exp::TrialContext &ctx) {
+            seeds.push_back(ctx.machine.seed);
+            return exp::TrialOutput{};
+        };
+        exp::runCampaign(std::move(spec));
+        ASSERT_EQ(seeds.size(), 3u);
+        for (std::size_t i = 0; i < 3; ++i)
+            EXPECT_EQ(seeds[i], exp::deriveTrialSeed(77, i))
+                << "factory seed " << assigned.value_or(0);
+    }
 }
 
 TEST(TrialContext, CheckBudgetBoundaryIsInclusive)
@@ -616,126 +582,60 @@ TEST(Campaign, SpecWithZeroTrialsThrows)
 }
 
 // ---------------------------------------------------------------------
-// Retry policy.
+// An exception that escapes the per-trial catch.
 // ---------------------------------------------------------------------
-
-TEST(RetrySeed, AttemptZeroIsTheTrialSeed)
-{
-    EXPECT_EQ(exp::deriveRetrySeed(42, 7, 0),
-              exp::deriveTrialSeed(42, 7));
-    // Attempts get decorrelated fresh seeds, deterministically.
-    EXPECT_NE(exp::deriveRetrySeed(42, 7, 1),
-              exp::deriveRetrySeed(42, 7, 0));
-    EXPECT_NE(exp::deriveRetrySeed(42, 7, 1),
-              exp::deriveRetrySeed(42, 7, 2));
-    EXPECT_EQ(exp::deriveRetrySeed(42, 7, 3),
-              exp::deriveRetrySeed(42, 7, 3));
-}
 
 namespace
 {
 
-/** syntheticSpec whose index-2 trial fails once and whose index-4
- *  trial always fails — the retry-policy fixture. */
-exp::CampaignSpec
-flakySpec(std::size_t trials, unsigned workers, unsigned max_retries)
+/** A fresh, empty checkpoint directory under the test temp root. */
+std::string
+freshCheckpointDir(const char *name)
 {
-    exp::CampaignSpec spec = syntheticSpec(trials, workers);
-    spec.maxRetries = max_retries;
-    auto inner = spec.body;
-    const std::uint64_t master = spec.masterSeed;
-    spec.body = [inner, master](const exp::TrialContext &ctx) {
-        const bool first_attempt =
-            ctx.seed == exp::deriveRetrySeed(master, ctx.index, 0);
-        if (ctx.index == 2 && first_attempt)
-            throw std::runtime_error("flaky once");
-        if (ctx.index == 4)
-            throw std::runtime_error("always broken");
-        return inner(ctx);
-    };
-    return spec;
+    const std::string dir = testing::TempDir() + name;
+    std::filesystem::remove_all(dir);
+    return dir;
 }
 
 } // namespace
 
-TEST(Campaign, FailingTrialRetriesWithDerivedSeeds)
+TEST(Campaign, EscapingWorkerExceptionIsRethrown)
 {
-    const exp::CampaignResult result =
-        exp::runCampaign(flakySpec(6, 3, 2));
+    const std::string reference = exp::deterministicFingerprint(
+        exp::runCampaign(syntheticSpec(12, 1)));
 
-    EXPECT_EQ(result.aggregate.retried, 1u);
-    EXPECT_EQ(result.aggregate.failed, 1u);
-    EXPECT_EQ(result.aggregate.ok, 4u);
+    for (const unsigned workers : {1u, 4u}) {
+        const std::string dir = freshCheckpointDir("uscope_escape_ckpt");
 
-    const exp::TrialResult &flaky = result.trials[2];
-    EXPECT_EQ(flaky.status, exp::TrialStatus::Retried);
-    EXPECT_EQ(flaky.attempts, 2u);
-    // The successful attempt's seed is recorded, and the failure text
-    // is kept for the record.
-    EXPECT_EQ(flaky.seed, exp::deriveRetrySeed(1234, 2, 1));
-    EXPECT_EQ(flaky.error, "flaky once");
-    EXPECT_GT(flaky.output.metric.count(), 0u);
+        // A progress callback that throws once, after the third trial
+        // finishes: not a trial's error, so run() stops the campaign
+        // and rethrows it once the pool has joined.
+        exp::CampaignSpec crashing = syntheticSpec(12, workers);
+        crashing.checkpointDir = dir;
+        std::atomic<bool> thrown{false};
+        crashing.progress = [&thrown](std::size_t done, std::size_t) {
+            if (done >= 3 && !thrown.exchange(true))
+                throw std::runtime_error("observer crashed");
+        };
+        try {
+            exp::runCampaign(std::move(crashing));
+            ADD_FAILURE() << "no exception at " << workers << " workers";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "observer crashed");
+        }
 
-    const exp::TrialResult &broken = result.trials[4];
-    EXPECT_EQ(broken.status, exp::TrialStatus::Failed);
-    EXPECT_EQ(broken.attempts, 3u);  // 1 original + 2 retries
-    EXPECT_EQ(broken.error, "always broken");
-
-    // Retried trials contribute to the aggregate; Failed ones do not.
-    EXPECT_EQ(result.aggregate.metric.count(), 5u * 257u);
-
-    // The whole retry history is a pure function of the seeds, so the
-    // campaign fingerprint is worker-count invariant.
-    const exp::CampaignResult serial =
-        exp::runCampaign(flakySpec(6, 1, 2));
-    EXPECT_EQ(result.aggregate.toJson().dump(),
-              serial.aggregate.toJson().dump());
-}
-
-TEST(Campaign, TimedOutIsNeverRetried)
-{
-    exp::CampaignSpec spec = syntheticSpec(3, 1);
-    spec.cycleBudget = 100;
-    spec.maxRetries = 5;
-    unsigned invocations = 0;
-    spec.body = [&invocations](const exp::TrialContext &ctx) {
-        ++invocations;
-        if (ctx.index == 1)
-            ctx.checkBudget(ctx.cycleBudget + 1);
-        return exp::TrialOutput{};
-    };
-    const exp::CampaignResult result = exp::runCampaign(std::move(spec));
-    EXPECT_EQ(result.trials[1].status, exp::TrialStatus::TimedOut);
-    EXPECT_EQ(result.trials[1].attempts, 1u);
-    // The budget was genuinely consumed; no retry was spent on it.
-    EXPECT_EQ(invocations, 3u);
-}
-
-// ---------------------------------------------------------------------
-// Worker death.
-// ---------------------------------------------------------------------
-
-TEST(Campaign, DyingWorkerDegradesGracefully)
-{
-    exp::CampaignSpec spec = syntheticSpec(12, 3);
-    std::atomic<bool> killed{false};
-    spec.progress = [&killed](std::size_t, std::size_t) {
-        if (!killed.exchange(true))
-            throw std::runtime_error("observer crashed");
-    };
-
-    const exp::CampaignResult result = exp::runCampaign(std::move(spec));
-    EXPECT_GE(result.workerDeaths, 1u);
-    EXPECT_LE(result.workerDeaths, 3u);
-
-    // Every trial still completed, and the aggregate is bit-identical
-    // to a run whose workers all survived.
-    EXPECT_EQ(result.aggregate.ok, 12u);
-    EXPECT_EQ(result.trialCount, 12u);
-    const exp::CampaignResult clean =
-        exp::runCampaign(syntheticSpec(12, 3));
-    EXPECT_EQ(result.aggregate.toJson().dump(),
-              clean.aggregate.toJson().dump());
+        // The rerun resumes what the first run checkpointed and
+        // finishes bit-identically to an uninterrupted run.
+        exp::CampaignSpec resumed = syntheticSpec(12, workers);
+        resumed.checkpointDir = dir;
+        const exp::CampaignResult second =
+            exp::runCampaign(std::move(resumed));
+        EXPECT_GE(second.resumedTrials, 3u) << workers << " workers";
+        EXPECT_LT(second.resumedTrials, 12u) << workers << " workers";
+        EXPECT_EQ(second.aggregate.ok, 12u);
+        EXPECT_EQ(exp::deterministicFingerprint(second), reference)
+            << workers << " workers";
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -746,10 +646,9 @@ TEST(Checkpoint, TrialSerializationRoundTripsBitExactly)
 {
     exp::TrialResult trial;
     trial.index = 5;
-    trial.seed = exp::deriveRetrySeed(9, 5, 1);
-    trial.status = exp::TrialStatus::Retried;
-    trial.attempts = 2;
-    trial.error = "first attempt: bad\nmultiline detail";
+    trial.seed = exp::deriveTrialSeed(9, 5);
+    trial.status = exp::TrialStatus::TimedOut;
+    trial.error = "cycle budget: bad\nmultiline detail";
     trial.wallSeconds = 1.5;
     trial.output.simCycles = 123456;
     trial.output.metric.add(1.0);
@@ -776,7 +675,6 @@ TEST(Checkpoint, TrialSerializationRoundTripsBitExactly)
     EXPECT_EQ(parsed->index, trial.index);
     EXPECT_EQ(parsed->seed, trial.seed);
     EXPECT_EQ(parsed->status, trial.status);
-    EXPECT_EQ(parsed->attempts, trial.attempts);
     EXPECT_EQ(parsed->error, trial.error);
     EXPECT_EQ(parsed->output.payload.dump(), trial.output.payload.dump());
     EXPECT_EQ(parsed->output.metrics.toJson().dump(),
@@ -821,8 +719,6 @@ TEST(Checkpoint, MalformedTrialFilesAreRejected)
              replaced("\nerror 0\n", "\nerror 18446744073709551615\n"),
              // Bytes after the closing token.
              text + "index 7\n",
-             // Would wrap to 1 through the unsigned cast.
-             replaced("\nattempts 1\n", "\nattempts 4294967297\n"),
          }) {
         EXPECT_FALSE(exp::CampaignCheckpoint::parseTrial(bad).has_value())
             << bad;
@@ -893,10 +789,9 @@ TEST(Checkpoint, FuzzedTrialRecordsRoundTripOrAreRejected)
     // A record that fills every field the format has.
     exp::TrialResult trial;
     trial.index = 5;
-    trial.seed = exp::deriveRetrySeed(42, 5, 1);
-    trial.status = exp::TrialStatus::Retried;
-    trial.attempts = 2;
-    trial.error = "first attempt\nthrew";
+    trial.seed = exp::deriveTrialSeed(42, 5);
+    trial.status = exp::TrialStatus::TimedOut;
+    trial.error = "cycle budget\nexceeded";
     trial.wallSeconds = 0.125;
     trial.output.simCycles = 123456;
     trial.output.payload =
@@ -926,7 +821,6 @@ TEST(Checkpoint, FuzzedTrialRecordsRoundTripOrAreRejected)
         if (!parsed)
             continue;
         ++accepted;
-        EXPECT_GE(parsed->attempts, 1u) << text;
         const std::vector<obs::MetricValue> &values =
             parsed->output.metrics.values;
         for (std::size_t v = 1; v < values.size(); ++v)
@@ -944,20 +838,6 @@ TEST(Checkpoint, FuzzedTrialRecordsRoundTripOrAreRejected)
     // text) are still well-formed records.
     EXPECT_GT(accepted, 500u);
 }
-
-namespace
-{
-
-/** A fresh, empty checkpoint directory under the test temp root. */
-std::string
-freshCheckpointDir(const char *name)
-{
-    const std::string dir = testing::TempDir() + name;
-    std::filesystem::remove_all(dir);
-    return dir;
-}
-
-} // namespace
 
 TEST(Checkpoint, KilledCampaignResumesBitIdentically)
 {

@@ -458,6 +458,16 @@ TEST(BenchCli, ParsesTraceMetricsAndCapacity)
     EXPECT_THROW(obs::parseBenchObsOptions(
                      2, const_cast<char **>(bad), "d.json"),
                  SimPanic);
+
+    // An unknown argument fails like a bad value: a misspelt flag
+    // must not run the bench with its defaults.
+    for (const char *unknown : {"--sectoin=3", "--pool=on", "trace"}) {
+        const char *argvUnknown[] = {"bench", "--metrics", unknown};
+        EXPECT_THROW(obs::parseBenchObsOptions(
+                         3, const_cast<char **>(argvUnknown), "d.json"),
+                     SimPanic)
+            << unknown;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -534,30 +534,44 @@ TEST(PrefixCampaign, FingerprintInvariantWithFastForwardOff)
     EXPECT_EQ(forked, slow);
 }
 
-TEST(PrefixCampaign, RetriedTrialsReForkDeterministically)
+TEST(PrefixCampaign, FailedTrialsDoNotPoisonThePooledMachine)
 {
-    // A body that throws on its first attempt for odd trials: the
-    // retry re-forks from the same snapshot with the retry seed, so
-    // the campaign stays deterministic across cache/pool settings.
-    const auto flaky = [](bool cache, bool pool) {
+    // Odd trials start the victim on the runner's machine, run part of
+    // it, and throw: the next trial on that worker reuses the pooled
+    // machine (or the cached warmup snapshot), and must still see the
+    // post-warmup state exactly as a cold, unpooled trial does.
+    const auto failing = [](bool cache, bool pool) {
         exp::CampaignSpec spec = prefixCampaign(cache, pool, 1);
         auto inner = spec.body;
-        spec.maxRetries = 1;
         spec.body = [inner](const exp::TrialContext &ctx) {
-            if (ctx.index % 2 == 1 &&
-                ctx.seed ==
-                    exp::deriveTrialSeed(42, ctx.index))
-                throw std::runtime_error("first attempt fails");
-            return inner(ctx);
+            if (ctx.index % 2 == 0)
+                return inner(ctx);
+            const auto *v = static_cast<const Victim *>(ctx.warmupData);
+            ctx.fork->kernel().startOnContext(v->pid, 0, v->program);
+            ctx.fork->run(20'000);
+            throw std::runtime_error("trial dies mid-body");
         };
         return spec;
     };
     const exp::CampaignResult cold =
-        exp::runCampaign(flaky(false, false));
+        exp::runCampaign(failing(false, false));
     const exp::CampaignResult forked =
-        exp::runCampaign(flaky(true, true));
-    EXPECT_EQ(cold.aggregate.retried, 2u);
+        exp::runCampaign(failing(true, true));
+    EXPECT_EQ(cold.aggregate.failed, 2u);
+    EXPECT_EQ(cold.aggregate.ok, 2u);
     EXPECT_EQ(campaignFingerprint(forked), campaignFingerprint(cold));
+
+    // The surviving trials match a campaign in which nothing failed.
+    const exp::CampaignResult clean =
+        exp::runCampaign(prefixCampaign(true, true, 1));
+    for (std::size_t i = 0; i < clean.trials.size(); i += 2) {
+        EXPECT_EQ(forked.trials[i].output.payload.dump(),
+                  clean.trials[i].output.payload.dump())
+            << "trial " << i;
+        EXPECT_EQ(forked.trials[i].output.simCycles,
+                  clean.trials[i].output.simCycles)
+            << "trial " << i;
+    }
 }
 
 // ---------------------------------------------------------------------
