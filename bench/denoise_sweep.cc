@@ -22,8 +22,9 @@
  *                      campaign; a killed-then-resumed sweep must
  *                      produce a byte-identical file
  *   --out=DIR          JSON reports via JsonFileSink (default results)
- *   --trials=N         trials per cell (default 16)
+ *   --trials=N         trials per cell (default 16, at least 1)
  *
+ * An unknown argument or a bad value exits 2 before any cell runs.
  * Exits nonzero when either victim's accuracy curve fails to be
  * monotone non-decreasing with a strict overall rise — the paper's
  * claim, enforced.
@@ -37,6 +38,7 @@
 
 #include "attack/aes_attack.hh"
 #include "attack/port_contention.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "exp/campaign.hh"
 #include "exp/checkpoint.hh"
@@ -264,27 +266,36 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&](const char *prefix) -> const char * {
-            return arg.rfind(prefix, 0) == 0
-                       ? arg.c_str() + std::strlen(prefix)
-                       : nullptr;
-        };
-        if (const char *v = value("--out="))
-            opt.outDir = v;
-        else if (const char *v = value("--checkpoint="))
-            opt.checkpointDir = v;
-        else if (const char *v = value("--fingerprint="))
-            opt.fingerprintPath = v;
-        else if (const char *v = value("--trials="))
-            opt.trials = obs::requireUnsignedFlag("--trials", v);
-        else if (const char *v = value("--die-after="))
-            opt.dieAfter = obs::requireUnsignedFlag("--die-after", v);
-        else {
-            std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-            return 2;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const auto value = [&](const char *prefix) -> const char * {
+                return arg.rfind(prefix, 0) == 0
+                           ? arg.c_str() + std::strlen(prefix)
+                           : nullptr;
+            };
+            if (const char *v = value("--out="))
+                opt.outDir = v;
+            else if (const char *v = value("--checkpoint="))
+                opt.checkpointDir = v;
+            else if (const char *v = value("--fingerprint="))
+                opt.fingerprintPath = v;
+            else if (const char *v = value("--trials="))
+                opt.trials = obs::requireUnsignedFlag("--trials", v);
+            else if (const char *v = value("--die-after="))
+                opt.dieAfter = obs::requireUnsignedFlag("--die-after", v);
+            else {
+                std::fprintf(stderr, "unknown argument: %s\n",
+                             arg.c_str());
+                return 2;
+            }
         }
+    } catch (const SimPanic &) {
+        return 2;  // panic() has named the bad argument
+    }
+    if (opt.trials == 0) {
+        std::fprintf(stderr, "--trials must be at least 1\n");
+        return 2;
     }
 
     std::printf("=========================================================\n");

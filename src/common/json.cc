@@ -68,17 +68,6 @@ Value::asU64(std::uint64_t fallback) const
     }
 }
 
-std::int64_t
-Value::asI64(std::int64_t fallback) const
-{
-    switch (type_) {
-      case Type::Int: return int_;
-      case Type::Uint: return static_cast<std::int64_t>(uint_);
-      case Type::Double: return static_cast<std::int64_t>(double_);
-      default: return fallback;
-    }
-}
-
 double
 Value::asDouble(double fallback) const
 {
@@ -88,12 +77,6 @@ Value::asDouble(double fallback) const
       case Type::Uint: return static_cast<double>(uint_);
       default: return fallback;
     }
-}
-
-bool
-Value::asBool(bool fallback) const
-{
-    return type_ == Type::Bool ? bool_ : fallback;
 }
 
 const std::string &

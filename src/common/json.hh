@@ -55,17 +55,6 @@ class Value
 
     Type type() const { return type_; }
     bool isNull() const { return type_ == Type::Null; }
-    bool isBool() const { return type_ == Type::Bool; }
-    bool isString() const { return type_ == Type::String; }
-    bool isArray() const { return type_ == Type::Array; }
-    bool isObject() const { return type_ == Type::Object; }
-
-    bool
-    isNumber() const
-    {
-        return type_ == Type::Int || type_ == Type::Uint ||
-               type_ == Type::Double;
-    }
 
     // -----------------------------------------------------------------
     // Read accessors.
@@ -80,9 +69,7 @@ class Value
     /** Numeric coercions (Int/Uint/Double interconvert; a negative
      *  value reads as 0 through asU64). */
     std::uint64_t asU64(std::uint64_t fallback = 0) const;
-    std::int64_t asI64(std::int64_t fallback = 0) const;
     double asDouble(double fallback = 0.0) const;
-    bool asBool(bool fallback = false) const;
 
     /** String payload; empty for non-strings. */
     const std::string &asString() const;

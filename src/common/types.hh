@@ -27,11 +27,11 @@ using PAddr = std::uint64_t;
 using Cycles = std::uint64_t;
 
 /**
- * Sentinel "no pending event" cycle returned by the components'
- * nextEventCycle() methods (see DESIGN.md §10): a component with no
- * deferred state reports this, and the minimum across components is
- * the earliest cycle at which ticking can change architectural or
- * stats state.
+ * Sentinel "no pending event" cycle returned by the nextEventCycle()
+ * methods of the core and the fault injector (see DESIGN.md §10): a
+ * component with no deferred state reports this, and the minimum of
+ * the two is the earliest cycle at which ticking can change
+ * architectural or stats state.
  */
 constexpr Cycles kNoEventCycle = ~Cycles{0};
 

@@ -56,21 +56,6 @@ Core::copyStateFrom(const Core &other)
     issuedThisCycle_ = other.issuedThisCycle_;
 }
 
-void
-Core::reset(std::uint64_t seed)
-{
-    rng_.seed(seed);
-    cycle_ = 0;
-    contexts_.assign(config_.numContexts, Context{});
-    for (Context &ctx : contexts_) {
-        ctx.lastIntWriter.fill(-1);
-        ctx.lastFpWriter.fill(-1);
-    }
-    ports_.reset();
-    predictor_.reset();
-    issuedThisCycle_ = 0;
-}
-
 Core::Context &
 Core::ctxAt(unsigned ctx)
 {
@@ -168,16 +153,6 @@ Core::startContext(unsigned ctx_id,
     ctx.state = CtxState::Running;
 }
 
-void
-Core::stopContext(unsigned ctx_id)
-{
-    Context &ctx = ctxAt(ctx_id);
-    squashAll(ctx_id);
-    ctx.program.reset();
-    ctx.stream = nullptr;
-    ctx.state = CtxState::Idle;
-}
-
 CtxState
 Core::contextState(unsigned ctx_id) const
 {
@@ -242,22 +217,10 @@ Core::readIntReg(unsigned ctx_id, Reg reg) const
     return ctxAt(ctx_id).intRegs.at(reg);
 }
 
-void
-Core::writeIntReg(unsigned ctx_id, Reg reg, std::uint64_t value)
-{
-    ctxAt(ctx_id).intRegs.at(reg) = value;
-}
-
 double
 Core::readFpReg(unsigned ctx_id, Reg reg) const
 {
     return asDouble(ctxAt(ctx_id).fpRegs.at(reg));
-}
-
-void
-Core::writeFpReg(unsigned ctx_id, Reg reg, double value)
-{
-    ctxAt(ctx_id).fpRegs.at(reg) = asBits(value);
 }
 
 const CtxStats &

@@ -174,9 +174,6 @@ class Core
                       std::uint64_t entry, Pcid pcid, PAddr pt_root,
                       std::uint64_t pc_bias);
 
-    /** Stop and clear a context. */
-    void stopContext(unsigned ctx);
-
     /** Program loaded on @p ctx (null while idle). */
     const std::shared_ptr<const Program> &contextProgram(unsigned ctx) const
     {
@@ -217,9 +214,7 @@ class Core
 
     /** Architectural register access (setup and result readback). */
     std::uint64_t readIntReg(unsigned ctx, Reg reg) const;
-    void writeIntReg(unsigned ctx, Reg reg, std::uint64_t value);
     double readFpReg(unsigned ctx, Reg reg) const;
-    void writeFpReg(unsigned ctx, Reg reg, double value);
 
     /** Advance the whole core by one cycle. */
     void tick();
@@ -285,9 +280,6 @@ class Core
      * Machine and would dangle if carried across.
      */
     void copyStateFrom(const Core &other);
-
-    /** Return to the just-constructed state with a fresh @p seed. */
-    void reset(std::uint64_t seed);
 
     /** Re-derive the SMT-arbitration stream from @p seed (fork
      *  reseed; leaves all architectural state and stats alone). */

@@ -257,8 +257,8 @@ CampaignRunner::CampaignRunner(CampaignSpec spec) : spec_(std::move(spec))
  */
 struct TrialExecutor::State
 {
-    /** The pooled Machine (reset per trial); null until first use or
-     *  after a structural change replaced it. */
+    /** The pooled fork target (restored per trial); null until first
+     *  use or after a structural change replaced it. */
     std::unique_ptr<os::Machine> pooled;
 
     struct WarmupEntry
@@ -301,18 +301,13 @@ TrialExecutor::beginCampaign(const CampaignSpec &)
 os::Machine &
 TrialExecutor::acquireMachine(const CampaignSpec &spec,
                               std::unique_ptr<os::Machine> &scratch,
-                              const os::MachineConfig &config,
-                              bool reset_state)
+                              const os::MachineConfig &config)
 {
     if (spec.machinePool) {
         State &ws = *state_;
-        if (ws.pooled && os::sameStructure(ws.pooled->config(), config)) {
-            if (reset_state)
-                ws.pooled->reset(config);
-        } else {
-            // First trial, or a structural sweep moved on: (re)build.
+        // First trial, or a structural sweep moved on: (re)build.
+        if (!ws.pooled || !os::sameStructure(ws.pooled->config(), config))
             ws.pooled = std::make_unique<os::Machine>(config);
-        }
         return *ws.pooled;
     }
     scratch = std::make_unique<os::Machine>(config);
@@ -350,8 +345,9 @@ TrialExecutor::runTrial(const CampaignSpec &spec, std::size_t index,
     result.seed = ctx.seed;
 
     // Machine provisioning state must outlive the body call: `scratch`
-    // owns the trial's machine when pooling is off, `hold` keeps a
-    // cold-path warmup artifact alive while the body uses it.
+    // owns the trial's machine on the cold path or when pooling is
+    // off, `hold` keeps a cold-path warmup artifact alive while the
+    // body uses it.
     std::unique_ptr<os::Machine> scratch;
     std::shared_ptr<const void> hold;
 
@@ -384,18 +380,19 @@ TrialExecutor::runTrial(const CampaignSpec &spec, std::size_t index,
                     entry = &ws.warmups.back();
                 }
                 obs::ProfScope timer(prof, "prof.trial.fork");
-                os::Machine &machine = acquireMachine(
-                    spec, scratch, warm_config, /*reset_state=*/false);
+                os::Machine &machine =
+                    acquireMachine(spec, scratch, warm_config);
                 machine.restoreFrom(entry->snap);
                 machine.reseed(ctx.seed);
                 ctx.fork = &machine;
                 ctx.warmupData = entry->data.get();
             } else {
                 // Cold path (the A/B baseline): re-run the warmup on a
-                // seed-fresh machine, then reseed at the same point.
+                // newly constructed machine, then reseed at the same
+                // point.
                 obs::ProfScope timer(prof, "prof.trial.warmup");
-                os::Machine &machine = acquireMachine(
-                    spec, scratch, warm_config, /*reset_state=*/true);
+                scratch = std::make_unique<os::Machine>(warm_config);
+                os::Machine &machine = *scratch;
                 hold = spec.warmup(machine);
                 machine.reseed(ctx.seed);
                 ctx.fork = &machine;

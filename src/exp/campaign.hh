@@ -114,11 +114,11 @@ struct TrialContext
     /**
      * Runner-provided machine, non-null when the spec declared a
      * warmup (DESIGN.md §12).  Already reseeded with `seed`: a fork
-     * of the per-worker post-warmup snapshot (or a freshly re-warmed
-     * machine when prefixCache is off — bit-identical either way).
-     * Bodies must use it instead of constructing their own machine,
-     * and must not destroy it; it may be a pooled instance owned by
-     * the runner.
+     * of the per-worker post-warmup snapshot (or, when prefixCache is
+     * off, a newly constructed machine that re-ran the warmup —
+     * bit-identical either way).  Bodies must use it instead of
+     * constructing their own machine, and must not destroy it; a fork
+     * may be the pooled instance owned by the runner.
      */
     os::Machine *fork = nullptr;
 
@@ -254,13 +254,15 @@ struct CampaignSpec
     bool prefixCache = true;
 
     /**
-     * Reuse one pooled Machine per worker (Machine::reset /
-     * restoreFrom) for a warmup campaign's runner-provided machines
-     * instead of constructing and destroying one per trial, keeping
-     * page slabs and component buffers hot.  The pooled instance is
-     * replaced when a trial's structure differs (os::sameStructure).
-     * Pure wall-clock knob: reset() is bit-identical to fresh
-     * construction.
+     * Reuse one pooled fork target per worker for a warmup campaign
+     * with prefixCache on: each trial restores the post-warmup
+     * snapshot over it (Machine::restoreFrom) instead of constructing
+     * and destroying a machine per trial, keeping page slabs and
+     * component buffers hot.  The pooled instance is replaced when a
+     * trial's structure differs (os::sameStructure).  The cold path
+     * (prefixCache off) always constructs a new machine.  Pure
+     * wall-clock knob: a restore lands on the snapshot's state
+     * whatever the target held before.
      */
     bool machinePool = true;
 
@@ -355,7 +357,7 @@ struct CampaignResult
 
 /**
  * The per-worker trial execution engine (DESIGN.md §12): owns the
- * pooled Machine and the post-warmup snapshot cache, and runs one
+ * pooled fork target and the post-warmup snapshot cache, and runs one
  * trial at a time of whatever spec it is handed.  CampaignRunner
  * creates one per worker thread.
  *
@@ -392,12 +394,13 @@ class TrialExecutor
   private:
     struct State;
 
-    /** Pooled (or scratch) machine with @p config's structure, reset
-     *  to seed-fresh state when @p reset_state. */
+    /** The fork target: the pooled machine with @p config's
+     *  structure, or a new one in @p scratch when pooling is off.
+     *  Its state is whatever the last trial left; the caller
+     *  restores over it. */
     os::Machine &acquireMachine(const CampaignSpec &spec,
                                 std::unique_ptr<os::Machine> &scratch,
-                                const os::MachineConfig &config,
-                                bool reset_state);
+                                const os::MachineConfig &config);
 
     std::unique_ptr<State> state_;
 };

@@ -86,7 +86,6 @@ class Cache
     std::optional<PAddr> residentLine(unsigned set, unsigned way) const;
 
     const CacheStats &stats() const { return stats_; }
-    void resetStats() { stats_ = CacheStats{}; }
 
     /**
      * Adopt @p other's ways, LRU clock, and stats (snapshot forking,
@@ -98,15 +97,6 @@ class Cache
         ways_ = other.ways_;
         clock_ = other.clock_;
         stats_ = other.stats_;
-        disarmJournal();
-    }
-
-    /** Return to the just-constructed state (empty, zero stats). */
-    void reset()
-    {
-        ways_.assign(ways_.size(), Way{});
-        clock_ = 0;
-        stats_ = CacheStats{};
         disarmJournal();
     }
 

@@ -124,17 +124,12 @@ class Hierarchy
     const Cache &l2() const { return l2_; }
     const Cache &l3() const { return l3_; }
 
-    void resetStats();
-
     /**
      * Adopt @p other's cache contents, stats, and DRAM-jitter RNG
      * stream (snapshot forking, DESIGN.md §12).  Configs must match;
      * the observer wiring is left untouched.
      */
     void copyStateFrom(const Hierarchy &other);
-
-    /** Seed-fresh state: empty caches, zero stats, reseeded jitter. */
-    void reset(std::uint64_t seed);
 
     /** Re-derive the DRAM-jitter stream from @p seed (fork reseed). */
     void reseed(std::uint64_t seed) { rng_.seed(seed); }
@@ -168,16 +163,6 @@ class Hierarchy
 
     /** Combined FNV digest of all cache state (tests). */
     std::uint64_t stateDigest() const;
-
-    /**
-     * Earliest cycle at which ticking can change this component's
-     * state (fast-forward contract, DESIGN.md §10).  The hierarchy is
-     * synchronous — access() charges hit/miss latency at the call and
-     * fills immediately — so it never holds time: always
-     * kNoEventCycle.  The hook is the plug-in point for future
-     * outstanding-fill (MSHR) models.
-     */
-    Cycles nextEventCycle() const { return kNoEventCycle; }
 
     /** Register mem.l1d/l2/l3.* counters from the cache stats. */
     void exportMetrics(obs::MetricRegistry &registry) const;

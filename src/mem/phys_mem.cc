@@ -301,10 +301,4 @@ PhysMem::pages() const
     return out;
 }
 
-void
-PhysMem::reset()
-{
-    releaseAll();
-}
-
 } // namespace uscope::mem

@@ -34,7 +34,7 @@ namespace uscope::mem
  * Slab-backed storage for refcounted physical pages.  Page bytes live
  * in large contiguous slabs; a PageRef is a stable 32-bit slot index.
  * Freed slots go on a free list and are reused, so a Machine that is
- * reset() between trials never gives slabs back to the allocator.
+ * restored between trials never gives slabs back to the allocator.
  */
 class PageArena
 {
@@ -72,15 +72,6 @@ class PageArena
                (static_cast<std::size_t>(ref & slabPagesMask)
                 << pageShift);
     }
-
-    /** Total page slots backed by slabs (reserved, live or free). */
-    std::size_t pagesReserved() const
-    {
-        return slabs_.size() << slabPagesShift;
-    }
-
-    /** Page slots currently holding a referenced page. */
-    std::size_t pagesLive() const { return refs_.size() - free_.size(); }
 
   private:
     // 64 pages (256 KiB) per slab: large enough to amortize the
@@ -120,7 +111,6 @@ class PhysMem
     std::uint64_t read64(PAddr addr) const { return read(addr, 8); }
 
     void write8(PAddr addr, std::uint8_t val) { write(addr, val, 1); }
-    void write32(PAddr addr, std::uint32_t val) { write(addr, val, 4); }
     void write64(PAddr addr, std::uint64_t val) { write(addr, val, 8); }
 
     /** Bulk copy into physical memory. */
@@ -164,25 +154,12 @@ class PhysMem
     /** Rewinds since construction (observability/tests). */
     std::uint64_t sharesFast() const { return sharesFast_; }
 
-    /**
-     * Drop every materialized page.  Slabs stay reserved in the arena
-     * for reuse, so a pooled Machine's reset() performs no page-sized
-     * allocation on its next warm-up.
-     */
-    void reset();
-
     /** Number of pages materialized so far (for tests/stats). */
     std::size_t pagesAllocated() const { return used_; }
 
     /** PPNs of every materialized page, in no particular order
      *  (tests compare memories page by page). */
     std::vector<Ppn> pages() const;
-
-    /** Page slots the backing arena keeps reserved (for tests). */
-    std::size_t slabPagesReserved() const
-    {
-        return arena_->pagesReserved();
-    }
 
   private:
     using PageRef = PageArena::PageRef;
@@ -218,7 +195,7 @@ class PhysMem
      *  duplicates are harmless (re-pointing a slot is idempotent). */
     std::vector<Ppn> dirtyPpns_;
     /** The slot table no longer mirrors a share source: never shared,
-     *  reset, grown, a fresh page materialized, or the dirty list
+     *  grown, a fresh page materialized, or the dirty list
      *  overflowed.  Only the next full share clears it. */
     bool tableDiverged_ = true;
 

@@ -227,9 +227,6 @@ class Kernel
      */
     void copyStateFrom(const Kernel &other);
 
-    /** Return to the just-constructed state with a fresh @p seed. */
-    void reset(std::uint64_t seed);
-
     /** Re-derive the kernel's RNG stream (probe jitter) from @p seed
      *  (fork reseed; leaves processes, frames, and stats alone). */
     void reseed(std::uint64_t seed) { rng_.seed(seed); }
@@ -246,16 +243,6 @@ class Kernel
      */
     using ProbeNoise = std::function<Cycles()>;
     void setProbeNoise(ProbeNoise noise) { probeNoise_ = std::move(noise); }
-
-    /**
-     * Earliest cycle at which ticking can change this component's
-     * state (fast-forward contract, DESIGN.md §10).  Fault handling
-     * is synchronous — handleFault() runs inside the faulting tick
-     * and charges handler time as a core stall — so the kernel never
-     * holds time of its own: always kNoEventCycle.  The hook is the
-     * plug-in point for future deferred-work (softirq-style) models.
-     */
-    Cycles nextEventCycle() const { return kNoEventCycle; }
 
     /** Register os.faults.* plus per-process page-table counters. */
     void exportMetrics(obs::MetricRegistry &registry) const;

@@ -147,24 +147,6 @@ Machine::restoreFrom(const Snapshot &snap)
 }
 
 void
-Machine::reset(const MachineConfig &config)
-{
-    if (!sameStructure(config_, config))
-        panic("Machine::reset: structural config mismatch "
-              "(construct a new Machine instead)");
-    config_ = config;
-    restoredSnapId_ = 0;
-    mem_.reset();
-    hierarchy_.reset(config_.seed * 3 + 1);
-    mmu_.reset();
-    core_.reset(config_.seed * 5 + 2);
-    kernel_.reset(config_.seed * 7 + 3);
-    entropy_.seed(config_.seed * 11 + 4);
-    faults_.reset(config_.seed * 13 + 5);
-    obs_.trace.clear();
-}
-
-void
 Machine::reseed(std::uint64_t seed)
 {
     config_.seed = seed;
@@ -178,33 +160,13 @@ Machine::reseed(std::uint64_t seed)
 Cycles
 Machine::nextEventCycle() const
 {
-    Cycles next = core_.nextEventCycle();
-    next = std::min(next, mmu_.walker().nextEventCycle());
-    next = std::min(next, hierarchy_.nextEventCycle());
-    next = std::min(next, kernel_.nextEventCycle());
-    next = std::min(next, faults_.nextEventCycle());
-    return next;
+    return std::min(core_.nextEventCycle(), faults_.nextEventCycle());
 }
 
 void
 Machine::run(Cycles n)
 {
-    const Cycles limit = core_.cycle() + n;
-    if (!config_.fastForward) {
-        while (core_.cycle() < limit)
-            tick();
-        return;
-    }
-    while (core_.cycle() < limit) {
-        const Cycles next = nextEventCycle();
-        if (next > core_.cycle()) {
-            // The jump is clamped so callers asking for exactly n
-            // cycles (trial budgets!) never overshoot.
-            core_.fastForwardTo(std::min(next, limit));
-        } else {
-            tick();
-        }
-    }
+    runUntil([]() { return false; }, n);
 }
 
 bool
@@ -218,18 +180,13 @@ bool
 Machine::runUntil(const std::function<bool()> &pred, Cycles max_cycles)
 {
     const Cycles limit = core_.cycle() + max_cycles;
-    if (!config_.fastForward) {
-        while (core_.cycle() < limit) {
-            if (pred())
-                return true;
-            tick();
-        }
-        return pred();
-    }
     while (core_.cycle() < limit) {
         if (pred())
             return true;
-        const Cycles next = nextEventCycle();
+        const Cycles next =
+            config_.fastForward ? nextEventCycle() : core_.cycle();
+        // The jump is clamped so a run never overshoots its budget
+        // (trial budgets ask for exactly max_cycles).
         if (next > core_.cycle())
             core_.fastForwardTo(std::min(next, limit));
         else

@@ -51,18 +51,18 @@ struct MachineConfig
     std::uint64_t seed = 42;
     /**
      * Event-driven fast-forward: Machine::run/runUntil jump the clock
-     * over provably inert cycles (the minimum of every component's
-     * nextEventCycle()) instead of ticking one by one.  Results are
-     * bit-identical either way (see DESIGN.md §10); off exists for
-     * differential testing and debugging.
+     * over provably inert cycles (Machine::nextEventCycle()) instead
+     * of ticking one by one.  Results are bit-identical either way
+     * (see DESIGN.md §10); off exists for differential testing and
+     * debugging.
      */
     bool fastForward = true;
 };
 
 /**
  * Structural equality of two configs: every knob except the seed.
- * Machines with the same structure can share snapshots and pooled
- * instances — only their RNG streams (reseedable at any time) differ.
+ * Machines with the same structure can share snapshots — only their
+ * RNG streams (reseedable at any time) differ.
  */
 bool sameStructure(const MachineConfig &a, const MachineConfig &b);
 
@@ -105,9 +105,8 @@ class Machine
     Cycles cycle() const { return core_.cycle(); }
 
     /**
-     * Advance exactly @p n cycles.  With config().fastForward this
-     * elides inert cycles via nextEventCycle() but lands on exactly
-     * the same state a cycle-by-cycle run would reach.
+     * Advance exactly @p n cycles: runUntil with a predicate that
+     * never holds.
      */
     void run(Cycles n);
 
@@ -118,7 +117,10 @@ class Machine
     bool runUntilHalted(unsigned ctx, Cycles max_cycles);
 
     /**
-     * Tick until @p pred() holds or @p max_cycles pass.
+     * Tick until @p pred() holds or @p max_cycles pass.  With
+     * config().fastForward this elides inert cycles via
+     * nextEventCycle() but lands on exactly the same state a
+     * cycle-by-cycle run would reach.
      *
      * @p pred must be a pure function of machine state (stats,
      * registers, memory, context states) — not of the raw cycle
@@ -130,12 +132,11 @@ class Machine
 
     /**
      * Earliest cycle at which ticking can change architectural or
-     * stats state: the minimum of every time-holding component's
-     * nextEventCycle() (core in-flight ops; the fault injector's next
-     * scheduled injection; the walker, hierarchy and kernel are
-     * synchronous today and report kNoEventCycle — the hooks are the
-     * plug-in points for future MSHR/async-fill models).
-     * kNoEventCycle when nothing is in flight anywhere.
+     * stats state: the minimum of the core's nextEventCycle() (its
+     * in-flight ops) and the fault injector's (its next scheduled
+     * injection).  The walker, hierarchy and kernel are synchronous
+     * and hold no time of their own.  kNoEventCycle when nothing is
+     * in flight anywhere.
      */
     Cycles nextEventCycle() const;
 
@@ -153,7 +154,7 @@ class Machine
     obs::MetricSnapshot metricsSnapshot() const;
 
     // ------------------------------------------------------------------
-    // Snapshot, fork, and pooling (DESIGN.md §12).
+    // Snapshot, fork, and restore (DESIGN.md §12).
     // ------------------------------------------------------------------
 
     /**
@@ -187,28 +188,13 @@ class Machine
      * both logs instead, O(pages and ways touched since) rather than
      * O(memory and cache size), while every other component is
      * copied as before.  Any other snapshot, or a log that overflowed
-     * or saw a shape change (fresh page, invalidateAll, reset()),
-     * takes the full path.  Both paths land on bit-identical state.
+     * or saw a shape change (fresh page, invalidateAll), takes the
+     * full path.  Both paths land on bit-identical state.
      * Fault schedules are defensively re-anchored at the restored
      * cycle (FaultInjector::reanchorAt), a no-op for any consistent
      * snapshot.
      */
     void restoreFrom(const Snapshot &snap);
-
-    /**
-     * Return a pooled instance to the seed-fresh state a newly
-     * constructed Machine(config()) would have — bit-identically so,
-     * including every RNG stream and stat — without freeing the page
-     * slabs or per-component buffers.
-     */
-    void reset() { reset(config_); }
-
-    /**
-     * reset() adopting @p config (e.g. a new trial's seed).  Panics
-     * unless sameStructure(config(), config): pooling never silently
-     * rebuilds geometry — construct a new Machine for that.
-     */
-    void reset(const MachineConfig &config);
 
     /**
      * Re-derive every component RNG stream from @p seed, anchored at

@@ -35,7 +35,6 @@ class FrameAllocator
     void free(Ppn ppn);
 
     std::uint64_t framesInUse() const { return inUse_; }
-    std::uint64_t framesTotal() const { return count_; }
 
     /**
      * Adopt @p other's allocation cursor and free list (snapshot
@@ -46,14 +45,6 @@ class FrameAllocator
         next_ = other.next_;
         inUse_ = other.inUse_;
         freeList_ = other.freeList_;
-    }
-
-    /** Return to the just-constructed state (every frame free). */
-    void reset()
-    {
-        next_ = 0;
-        inUse_ = 0;
-        freeList_.clear();
     }
 
   private:

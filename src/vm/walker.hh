@@ -78,14 +78,6 @@ class Walker
     WalkResult walk(VAddr va, Pcid pcid, PAddr root);
 
     const WalkerStats &stats() const { return stats_; }
-    void resetStats()
-    {
-        stats_ = WalkerStats{};
-        latency_ = Summary{};
-    }
-
-    /** Distribution of end-to-end walk latencies. */
-    const Summary &latencySummary() const { return latency_; }
 
     /**
      * Adopt @p other's counters and latency summary (snapshot
@@ -99,20 +91,8 @@ class Walker
         latency_ = other.latency_;
     }
 
-    /** Return to the just-constructed state. */
-    void reset() { resetStats(); }
-
     /** Wire the owning Machine's observability hub (may be null). */
     void setObserver(obs::Observer *observer) { obs_ = observer; }
-
-    /**
-     * Earliest cycle at which ticking can change this component's
-     * state (fast-forward contract, DESIGN.md §10).  The walker is
-     * synchronous — walk() charges its full latency at the call — so
-     * it never holds time: always kNoEventCycle.  The hook is the
-     * plug-in point for a future overlapped/MSHR-style walker.
-     */
-    Cycles nextEventCycle() const { return kNoEventCycle; }
 
     /** Register vm.walker.* counters and the latency summary. */
     void exportMetrics(obs::MetricRegistry &registry) const;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Bit-identity suite for prefix-snapshot forking, Machine pooling, and
+ * Bit-identity suite for prefix-snapshot forking, state restore, and
  * COW paging (DESIGN.md §12).
  *
  * The contracts enforced here:
@@ -11,11 +11,8 @@
  *  - **Restore rewind.** Restoring the snapshot a machine last
  *    restored rewinds its undo logs; the result — cache state, every
  *    page's bytes, and the run that follows — equals a full copy, and
- *    any other snapshot, a recycled snapshot clone, a fresh page or a
- *    reset() takes the full copy (DESIGN.md §17).
- *  - **Pooled reset.** Machine::reset() lands bit-identically on the
- *    state a freshly constructed Machine would have — every RNG
- *    stream, stat, and metric — while keeping its page slabs.
+ *    any other snapshot, a recycled snapshot clone or a fresh page
+ *    takes the full copy (DESIGN.md §17).
  *  - **Fork-vs-cold.** A trial forked from a post-warmup Snapshot and
  *    reseeded equals, bit for bit, a cold trial that runs the same
  *    warmup and reseeds at the same point — across fast-forward
@@ -54,7 +51,7 @@ namespace
 {
 
 // ---------------------------------------------------------------------
-// PhysMem: COW sharing and slab reuse.
+// PhysMem: COW sharing.
 // ---------------------------------------------------------------------
 
 TEST(PhysMemCow, SharedPagesReadBackAndWritesStayPrivate)
@@ -95,26 +92,8 @@ TEST(PhysMemCow, ZeroPageOnSharedPageStaysPrivate)
     EXPECT_EQ(a.read64(0x3000), 0x3333333333333333ull);
 }
 
-TEST(PhysMemCow, ResetKeepsSlabsForReuse)
-{
-    mem::PhysMem a(1 << 20);
-    for (unsigned p = 0; p < 8; ++p)
-        a.write64(std::uint64_t{p} * pageSize, p + 1);
-    const std::size_t reserved = a.slabPagesReserved();
-    EXPECT_GE(reserved, a.pagesAllocated());
-
-    a.reset();
-    EXPECT_EQ(a.pagesAllocated(), 0u);
-    // The arena keeps its slabs: re-population must not grow it.
-    EXPECT_EQ(a.slabPagesReserved(), reserved);
-    for (unsigned p = 0; p < 8; ++p)
-        a.write64(std::uint64_t{p} * pageSize, p + 100);
-    EXPECT_EQ(a.slabPagesReserved(), reserved);
-    EXPECT_EQ(a.read64(0), 100u);
-}
-
 // ---------------------------------------------------------------------
-// Machine-level fork and pooling, on an AES-victim workload.
+// Machine-level fork, on an AES-victim workload.
 // ---------------------------------------------------------------------
 
 constexpr std::uint8_t victimKey[16] = {
@@ -247,38 +226,13 @@ TEST(MachineFork, SiblingForksDoNotInterfere)
     EXPECT_EQ(stateFingerprint(fork3), reference);
 }
 
-TEST(MachinePool, ResetEqualsFreshConstruction)
-{
-    os::MachineConfig first;
-    first.seed = 11;
-    os::Machine pooled(first);
-    const Victim v = buildVictim(pooled);
-    runBody(pooled, v, 11);
-
-    // Reset the dirty machine to a different seed and re-run; a
-    // freshly constructed machine must be indistinguishable.
-    os::MachineConfig second = first;
-    second.seed = 22;
-    pooled.reset(second);
-    const Victim pooledVictim = buildVictim(pooled);
-    runBody(pooled, pooledVictim, 22);
-
-    os::Machine fresh(second);
-    const Victim freshVictim = buildVictim(fresh);
-    runBody(fresh, freshVictim, 22);
-
-    EXPECT_EQ(stateFingerprint(pooled), stateFingerprint(fresh));
-    // And the pooled instance kept its slabs across the reset.
-    EXPECT_GE(pooled.mem().slabPagesReserved(),
-              pooled.mem().pagesAllocated());
-}
-
 TEST(MachineFork, StructuralMismatchIsRejected)
 {
     os::Machine machine;
     os::MachineConfig other = machine.config();
     other.core.numContexts = machine.config().core.numContexts + 1;
-    EXPECT_THROW(machine.reset(other), std::exception);
+    const os::Machine donor(other);
+    EXPECT_THROW(machine.restoreFrom(donor.snapshot()), std::exception);
 }
 
 // ---------------------------------------------------------------------
@@ -386,7 +340,7 @@ TEST(RestoreRewind, RecycledScratchSlotTakesTheFullPath)
     EXPECT_EQ(pageBytes(m), pageBytes(oracle));
 }
 
-TEST(RestoreRewind, FreshPageOrResetForcesTheFullPath)
+TEST(RestoreRewind, FreshPageForcesTheFullPath)
 {
     os::MachineConfig config;
     config.seed = 7001;
@@ -402,36 +356,18 @@ TEST(RestoreRewind, FreshPageOrResetForcesTheFullPath)
     const std::size_t pages = m.mem().pagesAllocated();
     m.mem().write64(fresh, 1);
     ASSERT_EQ(m.mem().pagesAllocated(), pages + 1);
-    auto before = restoreCounts(m);
+    const auto before = restoreCounts(m);
     m.restoreFrom(snap);
     EXPECT_EQ(restoreCounts(m),
               std::make_pair(before.first + 1, before.second));
     EXPECT_EQ(m.mem().read64(fresh), 0u);
     os::Machine oracle(snap);
     EXPECT_EQ(pageBytes(m), pageBytes(oracle));
-
-    // reset() drops both logs.
-    m.reset();
-    before = restoreCounts(m);
-    m.restoreFrom(snap);
-    EXPECT_EQ(restoreCounts(m),
-              std::make_pair(before.first + 1, before.second));
 }
 
 // ---------------------------------------------------------------------
 // Campaign-level: prefixCache x machinePool x workers, under faults.
 // ---------------------------------------------------------------------
-
-/** The bench's comparison: per-trial payloads, metrics, and statuses
- *  with host-mechanics meta-counters (obs.trace.*, mem.physmem.*,
- *  os.replay.batch.*) stripped — those record how a state was
- *  reached (pooled vs cold machines, COW re-shares), which is
- *  exactly what the arms below vary. */
-std::string
-campaignFingerprint(const exp::CampaignResult &result)
-{
-    return exp::deterministicFingerprint(result);
-}
 
 /**
  * A warmup-heavy replay campaign: the prefix builds the enclave and
@@ -507,7 +443,7 @@ prefixCampaign(bool prefix_cache, bool pool, unsigned workers,
 
 TEST(PrefixCampaign, FingerprintInvariantAcrossCachePoolAndWorkers)
 {
-    const std::string reference = campaignFingerprint(
+    const std::string reference = exp::deterministicFingerprint(
         exp::runCampaign(prefixCampaign(false, false, 1)));
     ASSERT_FALSE(reference.empty());
 
@@ -515,7 +451,7 @@ TEST(PrefixCampaign, FingerprintInvariantAcrossCachePoolAndWorkers)
         for (const bool pool : {false, true}) {
             for (const unsigned workers : {1u, 2u, 4u}) {
                 const std::string fp =
-                    campaignFingerprint(exp::runCampaign(
+                    exp::deterministicFingerprint(exp::runCampaign(
                         prefixCampaign(cache, pool, workers)));
                 EXPECT_EQ(fp, reference)
                     << "prefixCache=" << cache << " pool=" << pool
@@ -527,10 +463,12 @@ TEST(PrefixCampaign, FingerprintInvariantAcrossCachePoolAndWorkers)
 
 TEST(PrefixCampaign, FingerprintInvariantWithFastForwardOff)
 {
-    const std::string slow = campaignFingerprint(exp::runCampaign(
-        prefixCampaign(false, false, 1, /*fast_forward=*/false)));
-    const std::string forked = campaignFingerprint(exp::runCampaign(
-        prefixCampaign(true, true, 2, /*fast_forward=*/false)));
+    const std::string slow =
+        exp::deterministicFingerprint(exp::runCampaign(
+            prefixCampaign(false, false, 1, /*fast_forward=*/false)));
+    const std::string forked =
+        exp::deterministicFingerprint(exp::runCampaign(
+            prefixCampaign(true, true, 2, /*fast_forward=*/false)));
     EXPECT_EQ(forked, slow);
 }
 
@@ -559,7 +497,8 @@ TEST(PrefixCampaign, FailedTrialsDoNotPoisonThePooledMachine)
         exp::runCampaign(failing(true, true));
     EXPECT_EQ(cold.aggregate.failed, 2u);
     EXPECT_EQ(cold.aggregate.ok, 2u);
-    EXPECT_EQ(campaignFingerprint(forked), campaignFingerprint(cold));
+    EXPECT_EQ(exp::deterministicFingerprint(forked),
+              exp::deterministicFingerprint(cold));
 
     // The surviving trials match a campaign in which nothing failed.
     const exp::CampaignResult clean =
