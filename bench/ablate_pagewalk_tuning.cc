@@ -18,8 +18,10 @@
  */
 
 #include <cstdio>
+#include <optional>
 #include <vector>
 
+#include "common/logging.hh"
 #include "core/microscope.hh"
 #include "cpu/program.hh"
 #include "exp/campaign.hh"
@@ -114,6 +116,15 @@ windowSize(unsigned fetch_levels, mem::HitLevel where,
 int
 main()
 {
+    // Create the output directory before any campaign runs: an
+    // unwritable path fails here, not after all the work.
+    std::optional<exp::JsonFileSink> sink;
+    try {
+        sink.emplace("bench-results");
+    } catch (const SimFatal &) {
+        return 2;  // fatal() has named the directory
+    }
+
     std::printf("==============================================================\n");
     std::printf("Ablation (§4.1.2): tuning the page-walk duration\n");
     std::printf("==============================================================\n\n");
@@ -196,12 +207,11 @@ main()
         std::printf("\n");
     }
 
-    exp::JsonFileSink sink("bench-results");
-    sink.consume(campaign);
+    sink->consume(campaign);
     std::printf("\ncampaign: %zu trials on %u workers in %.2fs; "
                 "JSON: %s\n",
                 campaign.trialCount, campaign.workers,
-                campaign.wallSeconds, sink.lastPath().c_str());
+                campaign.wallSeconds, sink->lastPath().c_str());
 
     std::printf("\nShape check: latency spans 'a few cycles' (1 level in L1)\n");
     std::printf("to 'over one thousand cycles' (4 levels in DRAM), and the\n");

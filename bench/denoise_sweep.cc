@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -297,6 +298,14 @@ main(int argc, char **argv)
         std::fprintf(stderr, "--trials must be at least 1\n");
         return 2;
     }
+    // Create the output directory before any campaign runs: an
+    // unwritable path fails here, not after all the work.
+    std::optional<exp::JsonFileSink> sink;
+    try {
+        sink.emplace(opt.outDir, /*include_trials=*/true);
+    } catch (const SimFatal &) {
+        return 2;  // fatal() has named the directory
+    }
 
     std::printf("=========================================================\n");
     std::printf("Denoising sweep (§4.3): accuracy vs replays, fixed noise\n");
@@ -314,10 +323,9 @@ main(int argc, char **argv)
         fig11.push_back(
             runCell(fig11Cell(replays, opt), "fig11", replays, opt));
 
-    exp::JsonFileSink sink(opt.outDir, /*include_trials=*/true);
     for (const auto *cells : {&fig10, &fig11})
         for (const Cell &cell : *cells)
-            sink.consume(cell.result);
+            sink->consume(cell.result);
     std::printf("\nJSON reports in %s/\n", opt.outDir.c_str());
 
     if (!opt.fingerprintPath.empty()) {

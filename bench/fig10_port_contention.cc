@@ -17,6 +17,7 @@
  */
 
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "attack/port_contention.hh"
@@ -90,6 +91,14 @@ main(int argc, char **argv)
             argc, argv, "bench-results/fig10_port_contention.trace.json");
     } catch (const SimPanic &) {
         return 2;  // panic() has named the bad argument
+    }
+    // Create the output directory before any campaign runs: an
+    // unwritable path fails here, not after all the work.
+    std::optional<exp::JsonFileSink> sink;
+    try {
+        sink.emplace("bench-results");
+    } catch (const SimFatal &) {
+        return 2;  // fatal() has named the directory
     }
 
     std::printf("==============================================================\n");
@@ -192,8 +201,7 @@ main(int argc, char **argv)
                         obsOpts.tracePath.c_str());
     }
 
-    exp::JsonFileSink sink("bench-results");
-    sink.consume(campaign);
-    std::printf("campaign JSON: %s\n", sink.lastPath().c_str());
+    sink->consume(campaign);
+    std::printf("campaign JSON: %s\n", sink->lastPath().c_str());
     return campaign.aggregate.ok == campaign.trialCount ? 0 : 1;
 }

@@ -14,6 +14,7 @@
  */
 
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "attack/aes_attack.hh"
@@ -195,6 +196,14 @@ main(int argc, char **argv)
     } catch (const SimPanic &) {
         return 2;  // panic() has named the bad argument
     }
+    // Create the output directory before any campaign runs: an
+    // unwritable path fails here, not after all the work.
+    std::optional<exp::JsonFileSink> sink;
+    try {
+        sink.emplace("bench-results");
+    } catch (const SimFatal &) {
+        return 2;  // fatal() has named the directory
+    }
 
     std::printf("==============================================================\n");
     std::printf("Figure 11: probe latency of Td1's 16 lines across 3 replays\n");
@@ -316,8 +325,7 @@ main(int argc, char **argv)
                         obsOpts.tracePath.c_str());
     }
 
-    exp::JsonFileSink sink("bench-results");
-    sink.consume(campaign);
-    std::printf("campaign JSON: %s\n", sink.lastPath().c_str());
+    sink->consume(campaign);
+    std::printf("campaign JSON: %s\n", sink->lastPath().c_str());
     return campaign.aggregate.ok == campaign.trialCount ? 0 : 1;
 }

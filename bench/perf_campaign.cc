@@ -45,10 +45,10 @@
  *     them, §4.3 of the paper).  The baseline restores the pre-arm
  *     snapshot and re-simulates the whole prefix (per-trial warm
  *     decryption + arming run + the replay-1 calibration work) before
- *     every iteration; the fast arm COW-forks the machine at the
+ *     every iteration; the fast arm snapshots the machine at the
  *     replay handle once (Recipe::differentialReplay +
  *     Microscope::restoreEpisode) and restores that per iteration;
- *     every restore after the first rewinds the machine's undo logs
+ *     every restore after the first rewinds the cache journal
  *     (DESIGN.md §17).
  *     The determinism fingerprints must be byte-identical across arms
  *     — a hard failure otherwise — and the measured speedup lands in
@@ -215,7 +215,7 @@ constexpr std::array<std::uint8_t, 16> prefixKey = {
  * The warmup artifact: every handle the prefix mints, valid in each
  * fork exactly because forks share the warmed-up machine state.  The
  * enclave pages are deliberately left unsealed — each trial loads its
- * own ciphertext into the (COW-copied) input page.
+ * own ciphertext into its copy of the input page.
  */
 struct PrefixRig
 {
@@ -1009,7 +1009,12 @@ main(int argc, char **argv)
     // throughput numbers reflect the production configuration.
     const bool fig10Ff = opts.fastForward.value_or(true);
 
-    exp::JsonFileSink sink("bench-results", /*include_trials=*/false);
+    std::optional<exp::JsonFileSink> sink;
+    try {
+        sink.emplace("bench-results", /*include_trials=*/false);
+    } catch (const SimFatal &) {
+        return 2;  // fatal() has named the directory
+    }
 
     // --section=N runs exactly one numbered section; without it, all
     // of them run (the full bench).
@@ -1019,14 +1024,14 @@ main(int argc, char **argv)
 
     bool ok = true;
     if (want(1))
-        ok = shardingSection(fig10Ff, sink) && ok;
+        ok = shardingSection(fig10Ff, *sink) && ok;
     if (want(2))
-        ok = fastForwardSection(opts.fastForward, sink) && ok;
+        ok = fastForwardSection(opts.fastForward, *sink) && ok;
     if (want(3))
-        ok = prefixSection(sink) && ok;
+        ok = prefixSection(*sink) && ok;
     if (want(5))
         ok = obsSection(opts.obsLevel) && ok;
     if (want(6))
-        ok = diffReplaySection(sink) && ok;
+        ok = diffReplaySection(*sink) && ok;
     return ok ? 0 : 1;
 }

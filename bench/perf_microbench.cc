@@ -6,6 +6,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <utility>
+
 #include "core/microscope.hh"
 #include "cpu/program.hh"
 #include "crypto/aes.hh"
@@ -165,6 +168,77 @@ BM_OneReplayCycle(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OneReplayCycle);
+
+/**
+ * The AES-warmup machine every snapshotting workload forks from: the
+ * victim enclave built and one decryption run.  Returns the victim's
+ * pid and program, so a benchmark can dirty the machine again.
+ */
+std::pair<os::Pid, std::shared_ptr<const cpu::Program>>
+warmAes(os::Machine &machine)
+{
+    auto &kernel = machine.kernel();
+    const os::Pid pid = kernel.createProcess("aes");
+    std::uint8_t key[16] = {};
+    const crypto::AesKey dec(key, 128, true);
+    const auto layout = crypto::setupAesVictim(kernel, pid, dec);
+    const std::uint8_t ct[16] = {9, 9, 9};
+    crypto::loadCiphertext(kernel, pid, layout, ct);
+    auto program = share(crypto::buildAesDecryptProgram(layout));
+    kernel.startOnContext(pid, 0, program);
+    machine.runUntilHalted(0, 10'000'000);
+    return {pid, std::move(program)};
+}
+
+/** Machine::snapshot() with the snapshot dropped each iteration, so
+ *  every snapshot after the first reuses a pooled clone. */
+void
+BM_MachineSnapshot(benchmark::State &state)
+{
+    os::Machine machine;
+    warmAes(machine);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(machine.snapshot());
+}
+BENCHMARK(BM_MachineSnapshot)->Unit(benchmark::kMicrosecond);
+
+/** The full restore: two snapshots alternate, so no restore rewinds. */
+void
+BM_MachineRestoreFull(benchmark::State &state)
+{
+    os::Machine machine;
+    warmAes(machine);
+    const os::Snapshot snaps[2] = {machine.snapshot(), machine.snapshot()};
+    std::size_t next = 0;
+    for (auto _ : state) {
+        machine.restoreFrom(snaps[next]);
+        next ^= 1;
+    }
+}
+BENCHMARK(BM_MachineRestoreFull)->Unit(benchmark::kMicrosecond);
+
+/** The rewind: one snapshot restored again after each (untimed)
+ *  decryption, the dirty set of a trial on a pooled fork target.  A
+ *  fixed count: google-benchmark sizes runs by timed time only, and
+ *  each untimed decryption costs hundreds of rewinds. */
+void
+BM_MachineRestoreRewind(benchmark::State &state)
+{
+    os::Machine machine;
+    const auto [pid, program] = warmAes(machine);
+    const os::Snapshot snap = machine.snapshot();
+    machine.restoreFrom(snap);
+    for (auto _ : state) {
+        state.PauseTiming();
+        machine.kernel().startOnContext(pid, 0, program);
+        machine.runUntilHalted(0, 10'000'000);
+        state.ResumeTiming();
+        machine.restoreFrom(snap);
+    }
+}
+BENCHMARK(BM_MachineRestoreRewind)
+    ->Unit(benchmark::kMicrosecond)
+    ->Iterations(1000);
 
 } // namespace
 

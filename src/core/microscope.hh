@@ -139,7 +139,7 @@ class Microscope : public os::FaultModule
     bool onPageFault(const os::PageFaultEvent &event) override;
 
     // ------------------------------------------------------------------
-    // Differential replay (DESIGN.md §15): COW-fork the episode at
+    // Differential replay (DESIGN.md §15): snapshot the episode at
     // the replay handle instead of re-simulating the prefix.
     // ------------------------------------------------------------------
 
@@ -155,7 +155,7 @@ class Microscope : public os::FaultModule
     bool episodeSnapshotPending() const { return snapPending_; }
 
     /**
-     * Capture the episode snapshot: a COW Machine::snapshot() plus the
+     * Capture the episode snapshot: a Machine::snapshot() plus the
      * engine's own loop position.  Must be called between ticks while
      * episodeSnapshotPending(); the victim is stalled in the fault
      * handler with the handle re-armed, so every restoreEpisode()

@@ -112,8 +112,8 @@ struct AttackRecipe
      * the first re-arm of each episode as a snapshot point.  A harness
      * that runs the machine until Microscope::episodeSnapshotPending()
      * and then calls takeEpisodeSnapshot() can afterwards re-enter the
-     * episode any number of times via restoreEpisode(seed) — a COW
-     * fork at the replay handle — instead of re-simulating the prefix
+     * episode any number of times via restoreEpisode(seed) — a
+     * restore at the replay handle — instead of re-simulating the prefix
      * up to the faulting load.  Off by default: the flag changes no
      * machine-visible behaviour, only whether the engine offers the
      * snapshot point.

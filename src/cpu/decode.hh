@@ -8,7 +8,7 @@
  * Decode is pure per (program, pc), so it is evaluated once when a
  * Program is built and memoized as a DecodedInst table the core
  * indexes by pc.  The stream is refcounted through the owning
- * Program's shared_ptr: COW-forked machines, replay windows, and every
+ * Program's shared_ptr: forked machines, replay windows, and every
  * SMT context running the same victim all read one decode table
  * (DESIGN.md §12).
  *

@@ -252,8 +252,7 @@ CampaignRunner::CampaignRunner(CampaignSpec spec) : spec_(std::move(spec))
 
 /**
  * Per-executor machine pool and post-warmup snapshot cache.  Owned by
- * exactly one worker thread: the snapshot and its forks COW-share
- * pages through non-atomic refcounts.
+ * exactly one worker thread (see TrialExecutor).
  */
 struct TrialExecutor::State
 {
@@ -528,7 +527,7 @@ CampaignRunner::run()
     };
     const auto drain = [&](unsigned worker) {
         // Thread-confined: the pooled machine and every cached
-        // snapshot (plus its COW forks) live and die on this worker.
+        // snapshot live and die on this worker.
         TrialExecutor executor;
         executor.beginCampaign(spec_);
         try {

@@ -72,7 +72,7 @@ std::uint64_t deriveWarmupSeed(std::uint64_t master);
 
 /**
  * Deterministic seed for differential-replay iteration @p iteration
- * of a trial seeded @p trial_seed (DESIGN.md §15).  Each COW re-entry
+ * of a trial seeded @p trial_seed (DESIGN.md §15).  Each re-entry
  * of an episode reseeds the fork with one of these, so every replay
  * iteration draws an independent noise realization while the whole
  * set stays a pure function of (masterSeed, trial index, iteration).
@@ -361,9 +361,10 @@ struct CampaignResult
  * trial at a time of whatever spec it is handed.  CampaignRunner
  * creates one per worker thread.
  *
- * Thread confinement: snapshots COW-share pages with their forks
- * through non-atomic refcounts, so a TrialExecutor must never cross
- * threads.
+ * Thread confinement: the pool and the cache are unsynchronized, and
+ * a machine takes and recycles its snapshots on its own thread
+ * (Machine::snapshot's scratch pool), so a TrialExecutor must never
+ * cross threads.  Restoring a snapshot only reads it.
  */
 class TrialExecutor
 {

@@ -11,70 +11,14 @@ namespace uscope::mem
 namespace
 {
 
-/** Dirty lists past this size stop paying for themselves; the next
- *  restore takes the full share instead. */
-constexpr std::size_t kMaxDirtyTracked = 4096;
-
-} // namespace
-
-PageArena::PageRef
-PageArena::allocZeroed()
-{
-    if (free_.empty()) {
-        if (refs_.size() == static_cast<std::size_t>(kNullRef))
-            panic("PageArena exhausted its 32-bit slot space");
-        if ((refs_.size() & slabPagesMask) == 0) {
-            auto slab = std::make_unique<std::uint8_t[]>(
-                std::size_t{1} << (slabPagesShift + pageShift));
-            slabs_.push_back(std::move(slab));
-        }
-        refs_.push_back(1);
-        const PageRef ref = static_cast<PageRef>(refs_.size() - 1);
-        std::memset(data(ref), 0, pageSize);
-        return ref;
-    }
-    const PageRef ref = free_.back();
-    free_.pop_back();
-    refs_[ref] = 1;
-    std::memset(data(ref), 0, pageSize);
-    return ref;
-}
-
-PageArena::PageRef
-PageArena::allocCopyOf(PageRef src)
-{
-    // Grab the slot first: allocZeroed may grow slabs_, but PageRefs
-    // and slab base pointers are stable, so data(src) stays valid.
-    const PageRef ref = allocZeroed();
-    std::memcpy(data(ref), data(src), pageSize);
-    return ref;
-}
-
-namespace
-{
-
 /** Initial index capacity; must be a power of two. */
 constexpr std::size_t kInitialSlots = 256;
 
 } // namespace
 
 PhysMem::PhysMem(std::uint64_t size)
-    : size_(size), arena_(std::make_shared<PageArena>()),
-      slots_(kInitialSlots), mask_(kInitialSlots - 1)
+    : size_(size), slots_(kInitialSlots), mask_(kInitialSlots - 1)
 {
-}
-
-void
-PhysMem::markDirty(Ppn ppn)
-{
-    if (tableDiverged_)
-        return;
-    if (dirtyPpns_.size() >= kMaxDirtyTracked) {
-        tableDiverged_ = true;
-        dirtyPpns_.clear();
-        return;
-    }
-    dirtyPpns_.push_back(ppn);
 }
 
 void
@@ -91,7 +35,7 @@ std::size_t
 PhysMem::probe(Ppn ppn) const
 {
     std::size_t i = mix64(ppn) & mask_;
-    while (slots_[i].ref != PageArena::kNullRef && slots_[i].ppn != ppn)
+    while (slots_[i].page != kEmpty && slots_[i].ppn != ppn)
         i = (i + 1) & mask_;
     return i;
 }
@@ -99,15 +43,14 @@ PhysMem::probe(Ppn ppn) const
 void
 PhysMem::grow()
 {
-    tableDiverged_ = true;
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.size() * 2, Slot{});
     mask_ = slots_.size() - 1;
     for (const Slot &slot : old) {
-        if (slot.ref == PageArena::kNullRef)
+        if (slot.page == kEmpty)
             continue;
         std::size_t i = mix64(slot.ppn) & mask_;
-        while (slots_[i].ref != PageArena::kNullRef)
+        while (slots_[i].page != kEmpty)
             i = (i + 1) & mask_;
         slots_[i] = slot;
     }
@@ -118,39 +61,25 @@ PhysMem::pageFor(PAddr addr)
 {
     const Ppn ppn = pageNumber(addr);
     std::size_t i = probe(ppn);
-    if (slots_[i].ref == PageArena::kNullRef) {
+    if (slots_[i].page == kEmpty) {
         // Keep the load factor below ~2/3 so probes stay short.
-        if ((used_ + 1) * 3 > slots_.size() * 2) {
+        if ((pages_.size() + 1) * 3 > slots_.size() * 2) {
             grow();
             i = probe(ppn);
         }
         slots_[i].ppn = ppn;
-        slots_[i].ref = arena_->allocZeroed();
-        ++used_;
-        // A fresh page changes the slot table's shape, not just a
-        // ref: a rewind can no longer mirror the source's layout.
-        tableDiverged_ = true;
-        return arena_->data(slots_[i].ref);
+        slots_[i].page = static_cast<std::uint32_t>(pages_.size());
+        pages_.emplace_back(); // value-initialized: zero-filled
     }
-    PageRef ref = slots_[i].ref;
-    if (arena_->refs(ref) > 1) {
-        // Copy-on-write: un-share before the first write.
-        const PageRef fresh = arena_->allocCopyOf(ref);
-        arena_->decref(ref);
-        slots_[i].ref = fresh;
-        ref = fresh;
-        markDirty(ppn);
-    }
-    return arena_->data(ref);
+    return pages_[slots_[i].page].data();
 }
 
 const std::uint8_t *
 PhysMem::pageForConst(PAddr addr) const
 {
     const std::size_t i = probe(pageNumber(addr));
-    return slots_[i].ref == PageArena::kNullRef
-               ? nullptr
-               : arena_->data(slots_[i].ref);
+    return slots_[i].page == kEmpty ? nullptr
+                                    : pages_[slots_[i].page].data();
 }
 
 std::uint64_t
@@ -223,72 +152,8 @@ PhysMem::zeroPage(Ppn ppn)
 {
     checkBounds(ppn << pageShift, pageSize);
     const std::size_t i = probe(ppn);
-    if (slots_[i].ref == PageArena::kNullRef)
-        return;
-    markDirty(ppn);
-    if (arena_->refs(slots_[i].ref) > 1) {
-        // Shared: swap in a fresh zero page instead of copying bytes
-        // we are about to clear.
-        arena_->decref(slots_[i].ref);
-        slots_[i].ref = arena_->allocZeroed();
-        return;
-    }
-    std::memset(arena_->data(slots_[i].ref), 0, pageSize);
-}
-
-void
-PhysMem::releaseAll()
-{
-    for (Slot &slot : slots_) {
-        if (slot.ref == PageArena::kNullRef)
-            continue;
-        arena_->decref(slot.ref);
-        slot = Slot{};
-    }
-    used_ = 0;
-    dirtyPpns_.clear();
-    tableDiverged_ = true;
-}
-
-void
-PhysMem::shareStateFrom(const PhysMem &src)
-{
-    if (&src == this)
-        return;
-    releaseAll();
-    size_ = src.size_;
-    arena_ = src.arena_;
-    slots_ = src.slots_;
-    mask_ = src.mask_;
-    used_ = src.used_;
-    for (const Slot &slot : slots_)
-        if (slot.ref != PageArena::kNullRef)
-            arena_->incref(slot.ref);
-    ++sharesFull_;
-    tableDiverged_ = false;
-}
-
-void
-PhysMem::rewindTo(const PhysMem &src)
-{
-    if (!logViable() || arena_ != src.arena_)
-        panic("PhysMem::rewindTo: undo log not armed against this "
-              "source");
-    // The slot table is bit-for-bit the source's (no growth, no fresh
-    // page since the share), so a logged PPN sits in the same slot on
-    // both sides.
-    for (const Ppn ppn : dirtyPpns_) {
-        const std::size_t i = probe(ppn);
-        const PageRef mine = slots_[i].ref;
-        const PageRef theirs = src.slots_[i].ref;
-        if (mine == theirs)
-            continue;
-        arena_->incref(theirs);
-        arena_->decref(mine);
-        slots_[i].ref = theirs;
-    }
-    dirtyPpns_.clear();
-    ++sharesFast_;
+    if (slots_[i].page != kEmpty)
+        pages_[slots_[i].page].fill(0);
 }
 
 std::vector<Ppn>
@@ -296,7 +161,7 @@ PhysMem::pages() const
 {
     std::vector<Ppn> out;
     for (const Slot &slot : slots_)
-        if (slot.ref != PageArena::kNullRef)
+        if (slot.page != kEmpty)
             out.push_back(slot.ppn);
     return out;
 }

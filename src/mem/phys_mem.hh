@@ -8,21 +8,18 @@
  * Timing is modelled separately by the cache hierarchy — PhysMem is the
  * functional backing store.
  *
- * Storage is a slab arena of refcounted page slots plus an
- * open-addressed PPN → slot index (no per-page heap node, no hash-map
- * pointer chase on the hot path).  Two PhysMem instances may share
- * pages copy-on-write via shareStateFrom(): both sides keep reading
- * the shared bytes for free, and whichever side writes a shared page
- * first gets a private copy (DESIGN.md §12).  Sharing is only legal
- * between instances owned by the same thread — refcounts are not
- * atomic by design (snapshots and forks are per-worker).
+ * Storage is a contiguous vector of pages plus an open-addressed
+ * PPN → page-index table (no per-page heap node, no hash-map pointer
+ * chase on the hot path).  PhysMem is a plain value: a copy owns its
+ * own pages, and copy-assignment into an instance that already holds
+ * as many pages reuses its buffers (DESIGN.md §12).
  */
 
 #ifndef USCOPE_MEM_PHYS_MEM_HH
 #define USCOPE_MEM_PHYS_MEM_HH
 
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -30,70 +27,12 @@
 namespace uscope::mem
 {
 
-/**
- * Slab-backed storage for refcounted physical pages.  Page bytes live
- * in large contiguous slabs; a PageRef is a stable 32-bit slot index.
- * Freed slots go on a free list and are reused, so a Machine that is
- * restored between trials never gives slabs back to the allocator.
- */
-class PageArena
-{
-  public:
-    using PageRef = std::uint32_t;
-    static constexpr PageRef kNullRef = ~PageRef{0};
-
-    /** Allocate a zero-filled page with refcount 1. */
-    PageRef allocZeroed();
-
-    /** Allocate a copy of @p src's bytes with refcount 1. */
-    PageRef allocCopyOf(PageRef src);
-
-    void incref(PageRef ref) { ++refs_[ref]; }
-
-    /** Drop one reference; a slot reaching zero joins the free list. */
-    void decref(PageRef ref)
-    {
-        if (--refs_[ref] == 0)
-            free_.push_back(ref);
-    }
-
-    std::uint32_t refs(PageRef ref) const { return refs_[ref]; }
-
-    std::uint8_t *data(PageRef ref)
-    {
-        return slabs_[ref >> slabPagesShift].get() +
-               (static_cast<std::size_t>(ref & slabPagesMask)
-                << pageShift);
-    }
-
-    const std::uint8_t *data(PageRef ref) const
-    {
-        return slabs_[ref >> slabPagesShift].get() +
-               (static_cast<std::size_t>(ref & slabPagesMask)
-                << pageShift);
-    }
-
-  private:
-    // 64 pages (256 KiB) per slab: large enough to amortize the
-    // allocation, small enough that tiny tests stay tiny.
-    static constexpr unsigned slabPagesShift = 6;
-    static constexpr std::uint32_t slabPagesMask =
-        (1u << slabPagesShift) - 1;
-
-    std::vector<std::unique_ptr<std::uint8_t[]>> slabs_;
-    std::vector<std::uint32_t> refs_; // per slot; index == PageRef
-    std::vector<PageRef> free_;
-};
-
 /** Sparse physical memory; pages materialize zero-filled on first touch. */
 class PhysMem
 {
   public:
     /** @param size Total physical memory size in bytes (for bounds). */
     explicit PhysMem(std::uint64_t size = std::uint64_t{1} << 32);
-
-    PhysMem(const PhysMem &) = delete;
-    PhysMem &operator=(const PhysMem &) = delete;
 
     std::uint64_t size() const { return size_; }
 
@@ -122,55 +61,24 @@ class PhysMem
     /** Zero a whole physical page (stays materialized if present). */
     void zeroPage(Ppn ppn);
 
-    /**
-     * Become a copy-on-write alias of @p src: adopt its arena, share
-     * every materialized page, and let first-writers (on either side)
-     * copy privately.  Own pages are released first.  Both instances
-     * must belong to the same thread from here on.
-     *
-     * The share also arms this instance's undo log (DESIGN.md §17):
-     * from here on it records every page that stops being @p src's,
-     * so rewindTo(@p src) can return to the shared state by
-     * re-pointing just those pages.
-     */
-    void shareStateFrom(const PhysMem &src);
-
-    /** The undo log is armed and the slot table still mirrors the
-     *  last share source, so rewindTo() would succeed. */
-    bool logViable() const { return !tableDiverged_; }
-
-    /**
-     * Return to the state of the last shareStateFrom(@p src) in
-     * O(pages written since): re-share each logged page from @p src,
-     * reuse the slot table.  Requires logViable(), and @p src must be
-     * unchanged since that share — the caller's contract (a frozen
-     * snapshot is never written).  Leaves the log armed and empty.
-     */
-    void rewindTo(const PhysMem &src);
-
-    /** Full shares since construction (observability/tests). */
-    std::uint64_t sharesFull() const { return sharesFull_; }
-
-    /** Rewinds since construction (observability/tests). */
-    std::uint64_t sharesFast() const { return sharesFast_; }
-
     /** Number of pages materialized so far (for tests/stats). */
-    std::size_t pagesAllocated() const { return used_; }
+    std::size_t pagesAllocated() const { return pages_.size(); }
 
     /** PPNs of every materialized page, in no particular order
      *  (tests compare memories page by page). */
     std::vector<Ppn> pages() const;
 
   private:
-    using PageRef = PageArena::PageRef;
+    using Page = std::array<std::uint8_t, pageSize>;
+    static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
 
     struct Slot
     {
         Ppn ppn = 0;
-        PageRef ref = PageArena::kNullRef; // kNullRef == empty slot
+        std::uint32_t page = kEmpty; // index into pages_; kEmpty == free
     };
 
-    /** Writable page bytes for @p addr (materializes, un-shares). */
+    /** Writable page bytes for @p addr (materializes on first touch). */
     std::uint8_t *pageFor(PAddr addr);
 
     /** Readable page bytes for @p addr, or nullptr if untouched. */
@@ -178,29 +86,12 @@ class PhysMem
 
     std::size_t probe(Ppn ppn) const;
     void grow();
-    void releaseAll();
     void checkBounds(PAddr addr, std::uint64_t len) const;
 
-    /** Log @p ppn as diverged from the last share source. */
-    void markDirty(Ppn ppn);
-
     std::uint64_t size_;
-    std::shared_ptr<PageArena> arena_;
     std::vector<Slot> slots_; // open-addressed, power-of-two size
     std::size_t mask_;
-    std::size_t used_ = 0;
-
-    // --- undo log against the last share source (DESIGN.md §17) ---
-    /** PPNs whose slot diverged from the source since the share;
-     *  duplicates are harmless (re-pointing a slot is idempotent). */
-    std::vector<Ppn> dirtyPpns_;
-    /** The slot table no longer mirrors a share source: never shared,
-     *  grown, a fresh page materialized, or the dirty list
-     *  overflowed.  Only the next full share clears it. */
-    bool tableDiverged_ = true;
-
-    std::uint64_t sharesFull_ = 0;
-    std::uint64_t sharesFast_ = 0;
+    std::vector<Page> pages_;
 };
 
 } // namespace uscope::mem

@@ -22,14 +22,6 @@ sameStructure(const MachineConfig &a, const MachineConfig &b)
 namespace
 {
 
-const MachineConfig &
-configOf(const Snapshot &snap)
-{
-    if (!snap.valid())
-        panic("Machine: invalid (empty or moved-from) Snapshot");
-    return snap.config();
-}
-
 std::uint64_t
 nextSnapshotId()
 {
@@ -72,17 +64,11 @@ Machine::Machine(const MachineConfig &config)
     }
 }
 
-Machine::Machine(const Snapshot &snap) : Machine(configOf(snap))
-{
-    copyStateFrom(*snap.frozen_);
-}
-
 void
 Machine::copyStateFrom(const Machine &other)
 {
     if (!sameStructure(config_, other.config_))
         panic("Machine::copyStateFrom: structural config mismatch");
-    mem_.shareStateFrom(other.mem_);
     hierarchy_.copyStateFrom(other.hierarchy_);
     copyUnloggedStateFrom(other);
 }
@@ -91,6 +77,7 @@ void
 Machine::copyUnloggedStateFrom(const Machine &other)
 {
     config_.seed = other.config_.seed;
+    mem_ = other.mem_;
     mmu_.copyStateFrom(other.mmu_);
     core_.copyStateFrom(other.core_);
     kernel_.copyStateFrom(other.kernel_);
@@ -108,9 +95,9 @@ Snapshot
 Machine::snapshot() const
 {
     // Reuse a pooled frozen machine when its last Snapshot is gone:
-    // the construction cost (slab arena, cache arrays, ROB) dwarfs
-    // the state copy.  Either path runs the same copyStateFrom, so
-    // the snapshot's content is identical.
+    // the construction cost (cache arrays, ROB) dwarfs the state
+    // copy.  Either path runs the same copyStateFrom, so the
+    // snapshot's content is identical.
     for (auto &slot : scratchSnaps_) {
         if (slot && slot.use_count() == 1 &&
             sameStructure(slot->config_, config_)) {
@@ -132,18 +119,18 @@ Machine::restoreFrom(const Snapshot &snap)
         panic("Machine::restoreFrom: invalid Snapshot");
     const Machine &other = *snap.frozen_;
     // A snapshot's frozen state never changes while any Snapshot with
-    // its id exists, so the logs armed at the last full restore of
-    // this id still describe the way back to it.
-    if (snap.id_ == restoredSnapId_ && mem_.logViable() &&
-        hierarchy_.journalViable()) {
-        mem_.rewindTo(other.mem_);
+    // its id exists, so the journal armed at the last full restore of
+    // this id still describes the way back to it.
+    if (snap.id_ == restoredSnapId_ && hierarchy_.journalViable()) {
         hierarchy_.rewindJournalTo(other.hierarchy_);
         copyUnloggedStateFrom(other);
+        ++restoresRewound_;
         return;
     }
     copyStateFrom(other);
     hierarchy_.beginJournal();
     restoredSnapId_ = snap.id_;
+    ++restoresFull_;
 }
 
 void
@@ -203,12 +190,13 @@ Machine::exportMetrics(obs::MetricRegistry &registry) const
     core_.exportMetrics(registry);
     kernel_.exportMetrics(registry);
     faults_.exportMetrics(registry);
-    // Restore telemetry (DESIGN.md §17): full copies vs rewinds.  Like
-    // obs.trace.*, these count host-side mechanics (how a state was
-    // reached, not what it is), so deterministicFingerprint strips the
-    // mem.physmem.* prefix.
-    registry.counter("mem.physmem.shares_full").set(mem_.sharesFull());
-    registry.counter("mem.physmem.shares_fast").set(mem_.sharesFast());
+    // Restore telemetry (DESIGN.md §17): full restores vs rewinds.  The
+    // names predate the counters' move out of PhysMem; perfbench reads
+    // them.  Like obs.trace.*, they count host-side mechanics (how a
+    // state was reached, not what it is), so deterministicFingerprint
+    // strips the mem.physmem.* prefix.
+    registry.counter("mem.physmem.shares_full").set(restoresFull_);
+    registry.counter("mem.physmem.shares_fast").set(restoresRewound_);
     // Trace-loss accounting (DESIGN.md §14): lets a campaign assert
     // "no events were overwritten" from its MetricSnapshot without
     // parsing trace files.  Only exported while tracing so untraced

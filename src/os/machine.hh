@@ -74,13 +74,6 @@ class Machine
   public:
     explicit Machine(const MachineConfig &config = MachineConfig{});
 
-    /**
-     * Construct a machine whose state equals @p snap (DESIGN.md §12).
-     * Pages are shared copy-on-write with the snapshot; everything
-     * else is copied.  Panics on an invalid (moved-from) snapshot.
-     */
-    explicit Machine(const Snapshot &snap);
-
     mem::PhysMem &mem() { return mem_; }
     mem::Hierarchy &hierarchy() { return hierarchy_; }
     vm::Mmu &mmu() { return mmu_; }
@@ -158,13 +151,12 @@ class Machine
     // ------------------------------------------------------------------
 
     /**
-     * Freeze a deep-but-cheap copy of the machine's entire mutable
-     * state: core/ROB/contexts, TLB/PWC/walker, cache ways, kernel
-     * processes and fault-path counters, RNG streams, fault-injector
-     * schedule, stats, and the event-trace ring.  Physical pages are
-     * shared copy-on-write — the snapshot holds references and this
-     * machine's (or any fork's) first write to a shared page copies
-     * it, so the snapshot stays frozen.
+     * Freeze a deep copy of the machine's entire mutable state:
+     * physical pages, core/ROB/contexts, TLB/PWC/walker, cache ways,
+     * kernel processes and fault-path counters, RNG streams,
+     * fault-injector schedule, stats, and the event-trace ring.  The
+     * snapshot owns its copy; nothing this machine does afterwards
+     * reaches it.
      *
      * Registered fault modules (ms::Microscope) are per-machine
      * external objects and are NOT captured; their machine-visible
@@ -175,21 +167,21 @@ class Machine
 
     /**
      * Overwrite this machine's state with @p snap's (same structural
-     * config required).  Cheaper than constructing from the snapshot
-     * when an instance is pooled: buffers are reused, and pages this
-     * machine privatized since the last restore return to the shared
-     * arena's free list.
+     * config required; a machine constructed from snap.config() always
+     * qualifies).  Page and cache-way buffers are reused, so a
+     * pooled machine's restore does not reallocate them.
      *
      * The one restore path (DESIGN.md §17).  A full restore copies
-     * every component and arms two undo logs at the restored state:
-     * PhysMem's dirty-page list and the cache hierarchy's journal.
-     * Restoring the *same* snapshot again — a replay loop re-entering
-     * one episode, a pooled worker re-forking one warmup — rewinds
-     * both logs instead, O(pages and ways touched since) rather than
-     * O(memory and cache size), while every other component is
-     * copied as before.  Any other snapshot, or a log that overflowed
-     * or saw a shape change (fresh page, invalidateAll), takes the
-     * full path.  Both paths land on bit-identical state.
+     * every component and arms the cache hierarchy's undo journal at
+     * the restored state.  Restoring the *same* snapshot again — a
+     * replay loop re-entering one episode, a pooled worker re-forking
+     * one warmup — rewinds the journal instead, O(ways touched since)
+     * rather than O(cache size), while every other component,
+     * physical memory included, is copied as before.  Any other
+     * snapshot, or a journal that overflowed or saw invalidateAll,
+     * takes the full path.  Both paths land on bit-identical state.
+     * restoreFrom only reads @p snap, so several threads may restore
+     * one snapshot at once.
      * Fault schedules are defensively re-anchored at the restored
      * cycle (FaultInjector::reanchorAt), a no-op for any consistent
      * snapshot.
@@ -211,7 +203,7 @@ class Machine
     void copyStateFrom(const Machine &other);
 
     /** The part of copyStateFrom that has no undo log: everything
-     *  but memory and the cache hierarchy. */
+     *  but the cache hierarchy. */
     void copyUnloggedStateFrom(const Machine &other);
 
     MachineConfig config_;
@@ -222,9 +214,9 @@ class Machine
     cpu::Core core_;
     /**
      * Frozen-machine pool for snapshot(): constructing a Machine
-     * (slab arena, cache arrays, ROB) dwarfs copying one, so dead
-     * Snapshots' clones are kept for reuse.  A slot is reusable only
-     * while no Snapshot references it (use_count()==1).  Two slots
+     * (cache arrays, ROB) dwarfs copying one, so dead Snapshots'
+     * clones are kept for reuse.  A slot is reusable only while no
+     * Snapshot references it (use_count()==1).  Two slots
      * cover the take-new-then-drop-old pattern of an engine that
      * holds one episode snapshot across trials.  Mutable: a pool
      * hand-off never changes this machine's observable state.
@@ -232,8 +224,12 @@ class Machine
     mutable std::array<std::shared_ptr<Machine>, 2> scratchSnaps_;
     mutable std::size_t scratchNext_ = 0;
     /** Snapshot::id_ of the last full restore, whose state the undo
-     *  logs are armed at; 0 when none is. */
+     *  journal is armed at; 0 when none is. */
     std::uint64_t restoredSnapId_ = 0;
+    /** Restores since construction, by path (exported as
+     *  mem.physmem.shares_{full,fast}); never copied by a restore. */
+    std::uint64_t restoresFull_ = 0;
+    std::uint64_t restoresRewound_ = 0;
     Kernel kernel_;
     Rng entropy_;   ///< Hardware RDRAND source.
     fault::FaultInjector faults_;
@@ -241,13 +237,11 @@ class Machine
 
 /**
  * A frozen Machine state (DESIGN.md §12): the product of
- * Machine::snapshot(), consumed by Machine(const Snapshot&) and
- * Machine::restoreFrom().  Internally a full state-clone machine that
- * is never ticked; it COW-shares pages with the machine it was taken
- * from and with every fork, so holding one is cheap.  Move-only.
- * Thread confinement follows the Machine rule: a snapshot and all of
- * its forks belong to one simulating thread (page refcounts are
- * deliberately non-atomic).
+ * Machine::snapshot(), consumed by Machine::restoreFrom().  Internally
+ * a full state-clone machine that is never ticked and owns its pages.
+ * Move-only.  Restoring only reads it, so any number of threads may
+ * restore one snapshot concurrently; taking or dropping one stays on
+ * the thread of the machine it was taken from (the scratch pool).
  */
 class Snapshot
 {

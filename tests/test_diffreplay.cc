@@ -3,7 +3,7 @@
  * Differential replay (DESIGN.md §15) bit-identity tests.
  *
  * The contract under test: a campaign that re-enters each replay
- * episode through a COW snapshot at the replay handle
+ * episode through a snapshot at the replay handle
  * (Recipe::differentialReplay + Microscope::restoreEpisode) produces
  * byte-identical results — stats, metrics, traces, fingerprints — to
  * one that re-simulates the prefix before every iteration.  The
@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "attack/victims.hh"
@@ -471,11 +472,18 @@ TEST(DiffReplayEngine, TraceBitIdentity)
     }
 }
 
+/** Machine::restoreFrom's counter mem.physmem.shares_@p path. */
+std::uint64_t
+restoreCount(const os::Machine &m, const std::string &path)
+{
+    return m.metricsSnapshot().find("mem.physmem.shares_" + path)->counter;
+}
+
 TEST(DiffReplayEngine, PhysMemFastReshare)
 {
-    // Repeated restores from one frozen snapshot rewind PhysMem's
-    // dirty-page log after the first full share, and the rewind is
-    // bit-identical to the full share.
+    // Repeated restores from one frozen snapshot rewind the cache
+    // journal after the first full restore, and the rewind is
+    // bit-identical to the full restore.
     os::Machine m;
     auto &kernel = m.kernel();
     const PfVictim victim = makePfVictim(kernel);
@@ -484,22 +492,22 @@ TEST(DiffReplayEngine, PhysMemFastReshare)
     ASSERT_TRUE(m.runUntilHalted(0, kRunBudget));
     const os::Snapshot snap = m.snapshot();
 
-    const std::uint64_t full_before = m.mem().sharesFull();
+    const std::uint64_t full_before = restoreCount(m, "full");
     m.restoreFrom(snap);  // first restore of this snapshot: full
-    EXPECT_EQ(m.mem().sharesFull(), full_before + 1);
+    EXPECT_EQ(restoreCount(m, "full"), full_before + 1);
 
     std::vector<Cycles> halts;
     for (int i = 0; i < 3; ++i) {
-        const std::uint64_t fast_before = m.mem().sharesFast();
+        const std::uint64_t fast_before = restoreCount(m, "fast");
         m.restoreFrom(snap);
-        EXPECT_EQ(m.mem().sharesFast(), fast_before + 1)
+        EXPECT_EQ(restoreCount(m, "fast"), fast_before + 1)
             << "restore " << i << " should rewind";
         m.reseed(1000 + static_cast<std::uint64_t>(i % 2));
         kernel.startOnContext(victim.pid, 0, victim.program);
         ASSERT_TRUE(m.runUntilHalted(0, kRunBudget));
         halts.push_back(m.cycle());
     }
-    EXPECT_EQ(m.mem().sharesFull(), full_before + 1);
+    EXPECT_EQ(restoreCount(m, "full"), full_before + 1);
     // Seeds 1000/1001/1000: runs 0 and 2 are bit-identical.
     EXPECT_EQ(halts[0], halts[2]);
 }
@@ -507,7 +515,7 @@ TEST(DiffReplayEngine, PhysMemFastReshare)
 TEST(DiffReplayEngine, LaterEpisodeRestoresRewind)
 {
     // The first restoreEpisode copies the machine and arms its undo
-    // logs; every later one rewinds them.
+    // journal; every later one rewinds it.
     constexpr std::uint64_t kRestores = 4;
     os::Machine m;
     ms::Microscope scope(m);
@@ -525,14 +533,14 @@ TEST(DiffReplayEngine, LaterEpisodeRestoresRewind)
                            kRunBudget));
     scope.takeEpisodeSnapshot();
 
-    const std::uint64_t full_before = m.mem().sharesFull();
-    const std::uint64_t fast_before = m.mem().sharesFast();
+    const std::uint64_t full_before = restoreCount(m, "full");
+    const std::uint64_t fast_before = restoreCount(m, "fast");
     for (std::uint64_t i = 0; i < kRestores; ++i) {
         scope.restoreEpisode(ms::deriveReplaySeed(21, i));
         ASSERT_TRUE(m.runUntilHalted(0, kRunBudget));
     }
-    EXPECT_EQ(m.mem().sharesFull(), full_before + 1);
-    EXPECT_EQ(m.mem().sharesFast(), fast_before + kRestores - 1);
+    EXPECT_EQ(restoreCount(m, "full"), full_before + 1);
+    EXPECT_EQ(restoreCount(m, "fast"), fast_before + kRestores - 1);
 }
 
 // --------------------------------------------------------------------

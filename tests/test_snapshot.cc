@@ -1,18 +1,20 @@
 /**
  * @file
- * Bit-identity suite for prefix-snapshot forking, state restore, and
- * COW paging (DESIGN.md §12).
+ * Bit-identity suite for prefix-snapshot forking and state restore
+ * (DESIGN.md §12).
  *
  * The contracts enforced here:
  *
- *  - **COW isolation.** PhysMem instances sharing an arena via
- *    shareStateFrom() never observe each other's writes, and sharing
- *    allocates nothing until a write actually diverges a page.
+ *  - **Copies are independent.** A copy of a PhysMem owns its pages:
+ *    neither side ever observes the other's writes.
  *  - **Restore rewind.** Restoring the snapshot a machine last
- *    restored rewinds its undo logs; the result — cache state, every
- *    page's bytes, and the run that follows — equals a full copy, and
- *    any other snapshot, a recycled snapshot clone or a fresh page
- *    takes the full copy (DESIGN.md §17).
+ *    restored rewinds the cache journal; the result — cache state,
+ *    every page's bytes, and the run that follows — equals a full
+ *    copy, a page materialized since is dropped, and any other
+ *    snapshot or a recycled snapshot clone takes the full copy
+ *    (DESIGN.md §17).
+ *  - **Concurrent restores.** Several threads may restore one
+ *    snapshot at once and each gets exactly the serial result.
  *  - **Fork-vs-cold.** A trial forked from a post-warmup Snapshot and
  *    reseeded equals, bit for bit, a cold trial that runs the same
  *    warmup and reseeds at the same point — across fast-forward
@@ -21,7 +23,9 @@
  *    prefixCache × machinePool combination of the campaign runner.
  *
  * Runs under TSan in CI, where the worker sweep doubles as a race
- * check on the per-worker snapshot caches and machine pools.
+ * check on the per-worker snapshot caches and machine pools, and the
+ * concurrent-restore test checks that restoring never writes the
+ * snapshot.
  */
 
 #include <gtest/gtest.h>
@@ -34,6 +38,8 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
@@ -51,45 +57,38 @@ namespace
 {
 
 // ---------------------------------------------------------------------
-// PhysMem: COW sharing.
+// PhysMem: a copy owns its pages.
 // ---------------------------------------------------------------------
 
-TEST(PhysMemCow, SharedPagesReadBackAndWritesStayPrivate)
+TEST(PhysMemCopy, CopiesAreIndependent)
 {
     mem::PhysMem a(1 << 20);
     a.write64(0x1000, 0x1111111111111111ull);
     a.write64(0x2000, 0x2222222222222222ull);
 
+    // Assignment replaces the target's own pages wholesale.
     mem::PhysMem b(1 << 20);
-    b.shareStateFrom(a);
+    b.write64(0x5000, 0x5555555555555555ull);
+    b = a;
+    EXPECT_EQ(b.pagesAllocated(), a.pagesAllocated());
     EXPECT_EQ(b.read64(0x1000), 0x1111111111111111ull);
     EXPECT_EQ(b.read64(0x2000), 0x2222222222222222ull);
-    EXPECT_EQ(b.pagesAllocated(), a.pagesAllocated());
+    EXPECT_EQ(b.read64(0x5000), 0u);
 
-    // Diverge one page in the fork; the source must not see it, and
-    // the untouched page stays shared.
+    // Writes, fresh pages and zeroPage on either side stay there.
     b.write64(0x1000, 0xbbbbbbbbbbbbbbbbull);
-    EXPECT_EQ(a.read64(0x1000), 0x1111111111111111ull);
-    EXPECT_EQ(b.read64(0x1000), 0xbbbbbbbbbbbbbbbbull);
-    EXPECT_EQ(b.read64(0x2000), 0x2222222222222222ull);
-
-    // Sharing is symmetric: a write on the *source* side of a still-
-    // shared page diverges the source, not the fork.
+    b.write64(0x3000, 0x3333333333333333ull);
     a.write64(0x2008, 0xaaaaaaaaaaaaaaaaull);
+    const mem::PhysMem c(a);
+    a.zeroPage(0x1000 / pageSize);
+    EXPECT_EQ(a.read64(0x1000), 0u);
+    EXPECT_EQ(a.read64(0x3000), 0u);
+    EXPECT_EQ(b.read64(0x1000), 0xbbbbbbbbbbbbbbbbull);
     EXPECT_EQ(b.read64(0x2008), 0u);
-    EXPECT_EQ(b.read64(0x2000), 0x2222222222222222ull);
-}
-
-TEST(PhysMemCow, ZeroPageOnSharedPageStaysPrivate)
-{
-    mem::PhysMem a(1 << 20);
-    a.write64(0x3000, 0x3333333333333333ull);
-    mem::PhysMem b(1 << 20);
-    b.shareStateFrom(a);
-
-    b.zeroPage(0x3000 / pageSize);
-    EXPECT_EQ(b.read64(0x3000), 0u);
-    EXPECT_EQ(a.read64(0x3000), 0x3333333333333333ull);
+    EXPECT_EQ(c.read64(0x1000), 0x1111111111111111ull);
+    EXPECT_EQ(c.read64(0x2008), 0xaaaaaaaaaaaaaaaaull);
+    EXPECT_EQ(c.pagesAllocated(), 2u);
+    EXPECT_EQ(b.pagesAllocated(), 3u);
 }
 
 // ---------------------------------------------------------------------
@@ -144,10 +143,28 @@ runBody(os::Machine &machine, const Victim &v, std::uint64_t seed)
     machine.runUntilHalted(0, 50'000'000);
 }
 
+/** A fresh machine restored from @p snap by the full copy. */
+std::unique_ptr<os::Machine>
+restored(const os::Snapshot &snap)
+{
+    auto m = std::make_unique<os::Machine>(snap.config());
+    m->restoreFrom(snap);
+    return m;
+}
+
+/** Restore counters of @p m: {full copies, rewinds}. */
+std::pair<std::uint64_t, std::uint64_t>
+restoreCounts(const os::Machine &m)
+{
+    const obs::MetricSnapshot metrics = m.metricsSnapshot();
+    return {metrics.find("mem.physmem.shares_full")->counter,
+            metrics.find("mem.physmem.shares_fast")->counter};
+}
+
 /** Every simulated metric the machine exports, plus the clock.
- *  mem.physmem.* counts host-side COW re-shares — how a state was
- *  reached, which is exactly what forked-vs-cold arms differ in —
- *  so it is dropped, as exp::deterministicFingerprint drops it. */
+ *  mem.physmem.* counts restores by path — how a state was reached,
+ *  which is exactly what forked-vs-cold arms differ in — so it is
+ *  dropped, as exp::deterministicFingerprint drops it. */
 std::string
 stateFingerprint(const os::Machine &machine)
 {
@@ -175,23 +192,18 @@ TEST(MachineFork, ForkedTrialIsBitIdenticalToColdTrial)
     cold.reseed(trialSeed);
     runBody(cold, coldVictim, trialSeed);
 
-    // Fork: run the same warmup once, snapshot, construct from the
-    // snapshot, reseed with the same trial seed, run the body.
+    // Fork: run the same warmup once, snapshot, restore a fresh
+    // machine from the snapshot, reseed with the same trial seed, run
+    // the body.
     os::Machine warm(config);
     const Victim victim = buildVictim(warm);
     const os::Snapshot snap = warm.snapshot();
-    os::Machine fork(snap);
+    os::Machine fork(config);
+    fork.restoreFrom(snap);
     fork.reseed(trialSeed);
     runBody(fork, victim, trialSeed);
 
     EXPECT_EQ(stateFingerprint(fork), stateFingerprint(cold));
-
-    // restoreFrom (the pooled-fork path) lands on the same state.
-    os::Machine pooled(config);
-    pooled.restoreFrom(snap);
-    pooled.reseed(trialSeed);
-    runBody(pooled, victim, trialSeed);
-    EXPECT_EQ(stateFingerprint(pooled), stateFingerprint(cold));
 }
 
 TEST(MachineFork, SiblingForksDoNotInterfere)
@@ -203,27 +215,65 @@ TEST(MachineFork, SiblingForksDoNotInterfere)
     const os::Snapshot snap = warm.snapshot();
 
     // Reference: a lone fork running trial seed 1.
-    os::Machine lone(snap);
-    lone.reseed(1);
-    runBody(lone, victim, 1);
-    const std::string reference = stateFingerprint(lone);
+    const auto lone = restored(snap);
+    lone->reseed(1);
+    runBody(*lone, victim, 1);
+    const std::string reference = stateFingerprint(*lone);
 
     // Two siblings off the same snapshot, run interleaved with
-    // different seeds: COW isolation means sibling 1's result is
-    // unaffected by sibling 2's writes to shared pages.
-    os::Machine fork1(snap);
-    os::Machine fork2(snap);
-    fork1.reseed(1);
-    fork2.reseed(2);
-    runBody(fork2, victim, 2);
-    runBody(fork1, victim, 1);
-    EXPECT_EQ(stateFingerprint(fork1), reference);
+    // different seeds: sibling 1's result is unaffected by sibling
+    // 2's writes.
+    const auto fork1 = restored(snap);
+    const auto fork2 = restored(snap);
+    fork1->reseed(1);
+    fork2->reseed(2);
+    runBody(*fork2, victim, 2);
+    runBody(*fork1, victim, 1);
+    EXPECT_EQ(stateFingerprint(*fork1), reference);
 
     // The snapshot itself stayed frozen: a third fork still works.
-    os::Machine fork3(snap);
-    fork3.reseed(1);
-    runBody(fork3, victim, 1);
-    EXPECT_EQ(stateFingerprint(fork3), reference);
+    const auto fork3 = restored(snap);
+    fork3->reseed(1);
+    runBody(*fork3, victim, 1);
+    EXPECT_EQ(stateFingerprint(*fork3), reference);
+}
+
+TEST(MachineFork, ConcurrentRestoresOfOneSnapshotAgree)
+{
+    os::MachineConfig config;
+    config.seed = 7001;
+    os::Machine warm(config);
+    const Victim victim = buildVictim(warm);
+    const os::Snapshot snap = warm.snapshot();
+
+    // One worker's run: a full restore and a body, then a rewind and
+    // a body.  Returns both end states and the restore counters.
+    using Outcome =
+        std::pair<std::string, std::pair<std::uint64_t, std::uint64_t>>;
+    const auto work = [&](std::uint64_t seed) {
+        os::Machine m(snap.config());
+        std::string states;
+        for (std::uint64_t round = 0; round < 2; ++round) {
+            m.restoreFrom(snap);
+            m.reseed(seed + round);
+            runBody(m, victim, seed + round);
+            states += stateFingerprint(m) + "\n";
+        }
+        return Outcome{states, restoreCounts(m)};
+    };
+    const Outcome serial1 = work(1);
+    const Outcome serial2 = work(2);
+    ASSERT_EQ(serial1.second, std::make_pair(std::uint64_t{1},
+                                             std::uint64_t{1}));
+
+    // Two threads restore the one snapshot at the same time.
+    Outcome concurrent1, concurrent2;
+    std::thread t1([&] { concurrent1 = work(1); });
+    std::thread t2([&] { concurrent2 = work(2); });
+    t1.join();
+    t2.join();
+    EXPECT_EQ(concurrent1, serial1);
+    EXPECT_EQ(concurrent2, serial2);
 }
 
 TEST(MachineFork, StructuralMismatchIsRejected)
@@ -252,13 +302,6 @@ pageBytes(os::Machine &m)
     return out;
 }
 
-/** Restore counters of @p m: {full copies, rewinds}. */
-std::pair<std::uint64_t, std::uint64_t>
-restoreCounts(os::Machine &m)
-{
-    return {m.mem().sharesFull(), m.mem().sharesFast()};
-}
-
 TEST(RestoreRewind, RewindEqualsFullCopy)
 {
     os::MachineConfig config;
@@ -276,18 +319,18 @@ TEST(RestoreRewind, RewindEqualsFullCopy)
         << "the second restore of one snapshot must rewind";
 
     // Oracle: a machine built from the snapshot by the full copy.
-    os::Machine oracle(snap);
-    EXPECT_EQ(m.cycle(), oracle.cycle());
+    const auto oracle = restored(snap);
+    EXPECT_EQ(m.cycle(), oracle->cycle());
     EXPECT_EQ(m.hierarchy().stateDigest(),
-              oracle.hierarchy().stateDigest());
-    EXPECT_EQ(pageBytes(m), pageBytes(oracle));
+              oracle->hierarchy().stateDigest());
+    EXPECT_EQ(pageBytes(m), pageBytes(*oracle));
 
     // And the rewound machine runs on exactly like the copy.
     m.reseed(2);
-    oracle.reseed(2);
+    oracle->reseed(2);
     runBody(m, victim, 2);
-    runBody(oracle, victim, 2);
-    EXPECT_EQ(stateFingerprint(m), stateFingerprint(oracle));
+    runBody(*oracle, victim, 2);
+    EXPECT_EQ(stateFingerprint(m), stateFingerprint(*oracle));
 }
 
 TEST(RestoreRewind, AlternatingSnapshotsTakeTheFullPath)
@@ -306,10 +349,10 @@ TEST(RestoreRewind, AlternatingSnapshotsTakeTheFullPath)
     m.restoreFrom(a);
     EXPECT_EQ(restoreCounts(m),
               std::make_pair(before.first + 3, before.second));
-    os::Machine oracle(a);
+    const auto oracle = restored(a);
     EXPECT_EQ(m.hierarchy().stateDigest(),
-              oracle.hierarchy().stateDigest());
-    EXPECT_EQ(pageBytes(m), pageBytes(oracle));
+              oracle->hierarchy().stateDigest());
+    EXPECT_EQ(pageBytes(m), pageBytes(*oracle));
 }
 
 TEST(RestoreRewind, RecycledScratchSlotTakesTheFullPath)
@@ -333,14 +376,14 @@ TEST(RestoreRewind, RecycledScratchSlotTakesTheFullPath)
     m.restoreFrom(second);
     EXPECT_EQ(restoreCounts(m),
               std::make_pair(before.first + 1, before.second));
-    os::Machine oracle(second);
-    EXPECT_EQ(m.cycle(), oracle.cycle());
+    const auto oracle = restored(second);
+    EXPECT_EQ(m.cycle(), oracle->cycle());
     EXPECT_EQ(m.hierarchy().stateDigest(),
-              oracle.hierarchy().stateDigest());
-    EXPECT_EQ(pageBytes(m), pageBytes(oracle));
+              oracle->hierarchy().stateDigest());
+    EXPECT_EQ(pageBytes(m), pageBytes(*oracle));
 }
 
-TEST(RestoreRewind, FreshPageForcesTheFullPath)
+TEST(RestoreRewind, FreshPageIsDroppedByARewind)
 {
     os::MachineConfig config;
     config.seed = 7001;
@@ -349,8 +392,8 @@ TEST(RestoreRewind, FreshPageForcesTheFullPath)
     const os::Snapshot snap = m.snapshot();
     m.restoreFrom(snap);
 
-    // A page the snapshot never materialized changes the slot table's
-    // shape: the dirty-page log can no longer mirror the snapshot.
+    // A page the snapshot never materialized: the rewind copies
+    // memory whole, so the page is gone again afterwards.
     const PAddr fresh = PAddr{0xF000} << pageShift;
     ASSERT_EQ(m.mem().read64(fresh), 0u);
     const std::size_t pages = m.mem().pagesAllocated();
@@ -359,10 +402,13 @@ TEST(RestoreRewind, FreshPageForcesTheFullPath)
     const auto before = restoreCounts(m);
     m.restoreFrom(snap);
     EXPECT_EQ(restoreCounts(m),
-              std::make_pair(before.first + 1, before.second));
+              std::make_pair(before.first, before.second + 1));
+    EXPECT_EQ(m.mem().pagesAllocated(), pages);
     EXPECT_EQ(m.mem().read64(fresh), 0u);
-    os::Machine oracle(snap);
-    EXPECT_EQ(pageBytes(m), pageBytes(oracle));
+    const auto oracle = restored(snap);
+    EXPECT_EQ(m.hierarchy().stateDigest(),
+              oracle->hierarchy().stateDigest());
+    EXPECT_EQ(pageBytes(m), pageBytes(*oracle));
 }
 
 // ---------------------------------------------------------------------
