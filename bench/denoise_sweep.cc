@@ -21,7 +21,8 @@
  *   --fingerprint=PATH write a wall-clock-free fingerprint of every
  *                      campaign; a killed-then-resumed sweep must
  *                      produce a byte-identical file
- *   --out=DIR          JSON reports via JsonFileSink (default results)
+ *   --out=DIR          one JSON report per cell (default results),
+ *                      with the accuracy's Wilson 95% interval
  *   --trials=N         trials per cell (default 16, at least 1)
  *
  * An unknown argument or a bad value exits 2 before any cell runs.
@@ -30,11 +31,15 @@
  * claim, enforced.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
+#include <filesystem>
 #include <string>
+#include <system_error>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "attack/aes_attack.hh"
@@ -43,7 +48,6 @@
 #include "common/random.hh"
 #include "exp/campaign.hh"
 #include "exp/checkpoint.hh"
-#include "exp/result_sink.hh"
 #include "fault/plan.hh"
 #include "obs/cli.hh"
 
@@ -101,6 +105,10 @@ struct Cell
     std::string victim;
     std::uint64_t replays = 0;
     double accuracy = 0.0;
+    /** Wilson score 95% interval of the accuracy: at 16 trials a
+     *  point moves in 6.25% steps, so the curve needs its spread. */
+    double low = 0.0;
+    double high = 0.0;
     exp::CampaignResult result;
 };
 
@@ -208,6 +216,18 @@ fig11Cell(std::uint64_t replays, const Options &opt)
     return spec;
 }
 
+/** Wilson score interval at 95% for a success ratio @p p of @p n. */
+std::pair<double, double>
+wilson95(double p, double n)
+{
+    const double z = 1.96;
+    const double z2 = z * z;
+    const double center = (p + z2 / (2 * n)) / (1 + z2 / n);
+    const double half = z / (1 + z2 / n) *
+                        std::sqrt(p * (1 - p) / n + z2 / (4 * n * n));
+    return {center - half, center + half};
+}
+
 /** Accuracy = mean of the campaign's 0/1 primary metric. */
 Cell
 runCell(exp::CampaignSpec spec, const std::string &victim,
@@ -222,12 +242,15 @@ runCell(exp::CampaignSpec spec, const std::string &victim,
     cell.replays = replays;
     cell.result = exp::runCampaign(std::move(spec));
     cell.accuracy = cell.result.aggregate.metric.mean();
+    std::tie(cell.low, cell.high) = wilson95(
+        cell.accuracy,
+        static_cast<double>(cell.result.aggregate.metric.count()));
     std::printf("  %-6s replays=%-3llu  accuracy %5.1f%%  "
-                "(%zu trials, %zu resumed)\n",
+                "[95%% CI %5.1f-%5.1f%%]  (%zu trials, %zu resumed)\n",
                 victim.c_str(),
                 static_cast<unsigned long long>(replays),
-                cell.accuracy * 100, cell.result.trialCount,
-                cell.result.resumedTrials);
+                cell.accuracy * 100, cell.low * 100, cell.high * 100,
+                cell.result.trialCount, cell.result.resumedTrials);
     std::fflush(stdout);
     return cell;
 }
@@ -300,11 +323,12 @@ main(int argc, char **argv)
     }
     // Create the output directory before any campaign runs: an
     // unwritable path fails here, not after all the work.
-    std::optional<exp::JsonFileSink> sink;
-    try {
-        sink.emplace(opt.outDir, /*include_trials=*/true);
-    } catch (const SimFatal &) {
-        return 2;  // fatal() has named the directory
+    std::error_code ec;
+    std::filesystem::create_directories(opt.outDir, ec);
+    if (ec || !std::filesystem::is_directory(opt.outDir)) {
+        std::fprintf(stderr, "cannot create --out directory '%s'\n",
+                     opt.outDir.c_str());
+        return 2;
     }
 
     std::printf("=========================================================\n");
@@ -324,8 +348,16 @@ main(int argc, char **argv)
             runCell(fig11Cell(replays, opt), "fig11", replays, opt));
 
     for (const auto *cells : {&fig10, &fig11})
-        for (const Cell &cell : *cells)
-            sink->consume(cell.result);
+        for (const Cell &cell : *cells) {
+            exp::json::Value report = cell.result.toJson();
+            report.set("accuracy_wilson95",
+                       exp::json::Value::object()
+                           .set("low", cell.low)
+                           .set("high", cell.high));
+            exp::writeFileAtomic(
+                opt.outDir + "/" + cell.result.name + ".json",
+                report.dump(2) + '\n');
+        }
     std::printf("\nJSON reports in %s/\n", opt.outDir.c_str());
 
     if (!opt.fingerprintPath.empty()) {

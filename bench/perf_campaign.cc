@@ -1,79 +1,50 @@
 /**
  * @file
- * Throughput benchmarks for the campaign runner:
+ * Throughput A/B benchmarks for the campaign runner.  Each section
+ * times a baseline arm against a candidate arm — two campaign specs
+ * that must give byte-identical results — with one routine, runAb():
+ * abPairs interleaved pairs, alternating which arm runs first; inside
+ * an arm the campaign repeats until abMinArmSeconds have passed, and
+ * the arm's time is seconds per campaign.  Every run's deterministic
+ * fingerprint must equal the first run's and every trial must end Ok.
+ * Each section writes bench-results/BENCH_<section>.json in the one
+ * layout of writeBench(), and fails on its own gate:
  *
- *  1. **Sharding** (Fig.-10-style port-contention sweep) — the
- *     identical CampaignSpec (16 trials, each a full attack on its own
- *     Machine) at 1 worker and at 4 workers.  The aggregate (and every
- *     per-trial payload) must be bit-identical across worker counts —
- *     a hard failure if violated.  Trials are independent CPU-bound
- *     simulations, so speedup tracks the physical core count: on >= 4
- *     cores we demand >= 2x and fail otherwise; on fewer cores we
- *     report the measured value and the hardware bound.
- *  2. **Fast-forward A/B** (Fig.-11-shaped AES replay trials) — the
- *     same campaign with MachineConfig::fastForward off (cycle-by-
- *     cycle baseline) and on (event-driven clock jumps, DESIGN.md
- *     §10), plus the on-mode at 4 workers.  The determinism
- *     fingerprint must be bit-identical across all three runs — the
- *     elision contract — while the wall-clock speedup is measured and
- *     reported.  `--fast-forward={on,off}` pins both sections to one
- *     mode (and skips the A/B comparison).
- *  3. **Prefix-snapshot A/B** (warmup-heavy Fig.-11-shaped arm,
- *     DESIGN.md §12) — each trial needs the same expensive prefix
- *     (enclave build, victim codegen, warm decryptions) before its
- *     private replay episode.  The baseline re-runs the prefix cold
- *     per trial; the fast arm runs it once per worker, snapshots, and
- *     forks the snapshot per trial with per-trial reseeding
- *     (CampaignSpec::warmup + prefixCache + machinePool).  The
- *     determinism fingerprints must be byte-identical across arms — a
- *     hard failure otherwise — and the measured speedup lands in
- *     bench-results/BENCH_prefix.json (CI fails the A/B if the fast
- *     arm is not at least as fast; the paper-repro target is >= 2x).
- *  5. **Observability A/B** (DESIGN.md §14) — section 2's
- *     fast-forward-on campaign at --obs=off/metrics/trace.
- *     Observation must never perturb results: every arm's
- *     deterministic fingerprint must be byte-identical (hard
- *     failure), and the wall-clock overhead of --obs=metrics over
- *     --obs=off — the median ratio of interleaved off/metrics pairs —
- *     is gated at <= 1.10x.  The trace arm's per-trial event logs are
- *     merged (obs::mergeChromeTraces) into one Perfetto trace,
- *     bench-results/perf_campaign_obs.trace.json.  Results land in
- *     bench-results/BENCH_obs.json; `--obs=LEVEL` pins one arm.
- *  6. **Differential-replay A/B** (DESIGN.md §15) — a denoise-shaped
- *     arm: each trial re-enters one confidence-2 episode several
- *     times (fresh noise seed per iteration, majority vote across
- *     them, §4.3 of the paper).  The baseline restores the pre-arm
- *     snapshot and re-simulates the whole prefix (per-trial warm
- *     decryption + arming run + the replay-1 calibration work) before
- *     every iteration; the fast arm snapshots the machine at the
- *     replay handle once (Recipe::differentialReplay +
- *     Microscope::restoreEpisode) and restores that per iteration;
- *     every restore after the first rewinds the cache journal
- *     (DESIGN.md §17).
- *     The determinism fingerprints must be byte-identical across arms
- *     — a hard failure otherwise — and the measured speedup lands in
- *     bench-results/BENCH_diffreplay.json (CI fails if the fast arm
- *     is not at least break-even; the paper-repro target is >= 1.5x).
+ *  1. sharding: a Fig.-10-style sweep at 1 worker against 4; the
+ *     median speedup must reach 2x on a host with >= 4 cores.
+ *  2. fastforward: Fig.-11-shaped AES trials with fast-forward off
+ *     against on (DESIGN.md §10); the speedup is only reported.
+ *  3. prefix: a warmup-heavy AES arm run cold against forked from a
+ *     per-worker warmup snapshot (prefixCache + machinePool,
+ *     DESIGN.md §12), and forked without the pool against with it.
+ *  5. obs: section 2's ff-on campaign at ObsLevel::Off against Metrics
+ *     (DESIGN.md §14); the median overhead must stay <=
+ *     obsOverheadGate, and one Trace run must merge every trial into
+ *     bench-results/perf_campaign_obs.trace.json.
+ *  6. diffreplay: denoise-shaped episodes re-simulated against
+ *     restored from the episode snapshot (DESIGN.md §15).
  *
- * `--section=N` runs exactly one numbered section (1 sharding, 2
- * fast-forward, 3 prefix, 5 obs, 6 diffreplay) — what
- * the CI smoke jobs use to parallelize and to scope failures.  Any
- * other N is an error: a section that does not exist must not pass.
+ * In sections 3 and 6 the fast arm must win at least 9 of 10 pairs
+ * with a median speedup of at least 1.0, and each arm's fingerprint
+ * goes to BENCH_<section>_fp_{off,on}.txt.  `--section=N` runs one
+ * section; any other argument exits 2 before anything runs.
  */
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <initializer_list>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "attack/aes_attack.hh"
 #include "attack/port_contention.hh"
+#include "common/fsio.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "core/microscope.hh"
@@ -89,26 +60,42 @@ using namespace uscope;
 namespace
 {
 
-constexpr std::size_t trials = 16;
+using exp::deterministicFingerprint;
+using exp::fnv1aHex;
+
+constexpr std::size_t fig10Trials = 16;
 constexpr std::size_t fig11Trials = 8;
 
+/** Per-line probe latencies, one row per probe, for a trial payload. */
+exp::json::Value
+probeLatencies(const std::vector<attack::LineProbe> &probes)
+{
+    exp::json::Value rows = exp::json::Value::array();
+    for (const attack::LineProbe &probe : probes) {
+        exp::json::Value row = exp::json::Value::array();
+        for (Cycles latency : probe.latency)
+            row.push(latency);
+        rows.push(std::move(row));
+    }
+    return rows;
+}
+
 exp::CampaignSpec
-fig10StyleSpec(unsigned workers, bool fast_forward)
+fig10StyleSpec(unsigned workers)
 {
     exp::CampaignSpec spec;
     spec.name = workers == 1 ? "perf_campaign_serial"
                              : "perf_campaign_parallel";
-    spec.trials = trials;
+    spec.trials = fig10Trials;
     spec.masterSeed = 42;
     spec.workers = workers;
-    spec.body = [fast_forward](const exp::TrialContext &ctx) {
+    spec.body = [](const exp::TrialContext &ctx) {
         attack::PortContentionConfig config;
         config.victimDivides = ctx.index % 2 == 1;
         config.samples = 800;
         config.replays = 30;
         config.threshold = 120;
         config.seed = ctx.seed;
-        config.machine.fastForward = fast_forward;
         const attack::PortContentionResult result =
             attack::runPortContentionAttack(config);
 
@@ -130,19 +117,18 @@ fig10StyleSpec(unsigned workers, bool fast_forward)
     return spec;
 }
 
-/**
- * Fig.-11-shaped: one AES replay timeline per trial (random key and
- * plaintext), dominated by tuned page walks and long stalls — the
- * workload event-driven fast-forward exists for.
- */
+/** Fig.-11-shaped: one AES replay timeline per trial (random key and
+ *  plaintext), the long-stall workload fast-forward exists for. */
 exp::CampaignSpec
-fig11StyleSpec(const char *name, unsigned workers, bool fast_forward)
+fig11StyleSpec(const char *name, bool fast_forward,
+               obs::ObsLevel level = obs::ObsLevel::Off)
 {
     exp::CampaignSpec spec;
     spec.name = name;
     spec.trials = fig11Trials;
     spec.masterSeed = 42;
-    spec.workers = workers;
+    spec.workers = 1;
+    spec.obsLevel = level;
     spec.body = [fast_forward](const exp::TrialContext &ctx) {
         attack::AesAttackConfig config;
         Rng rng(ctx.seed);
@@ -162,43 +148,192 @@ fig11StyleSpec(const char *name, unsigned workers, bool fast_forward)
         out.trace = std::move(fig11.events);
         out.metric.add(fig11.matchesGroundTruth ? 1.0 : 0.0);
         out.metrics = fig11.metrics;
-        exp::json::Value probes = exp::json::Value::array();
-        for (const attack::LineProbe &probe : fig11.replays) {
-            exp::json::Value row = exp::json::Value::array();
-            for (Cycles latency : probe.latency)
-                row.push(latency);
-            probes.push(std::move(row));
-        }
         out.payload = exp::json::Value::object()
                           .set("consistent",
                                fig11.consistentAcrossPrimedReplays)
                           .set("matches_ground_truth",
                                fig11.matchesGroundTruth)
-                          .set("probe_latencies", std::move(probes));
+                          .set("probe_latencies",
+                               probeLatencies(fig11.replays));
         return out;
     };
     return spec;
 }
 
-// Fingerprint + hash shapes live in the library (shared with
-// tests/test_fastforward).
-using exp::deterministicFingerprint;
-using exp::fnv1aHex;
+// ---- The A/B routine and its one JSON layout ----
 
-void
-report(const char *label, const exp::CampaignResult &result)
+/** Interleaved pairs per comparison, and the least wall time of one
+ *  arm of one pair: a shorter campaign repeats until it is reached. */
+constexpr std::size_t abPairs = 10;
+constexpr double abMinArmSeconds = 0.2;
+
+/** Linear-interpolated quantile @p q of @p v (non-empty). */
+double
+quantile(std::vector<double> v, double q)
 {
-    std::printf("%-8s %u worker(s): %6.2fs wall, %5.1f trials/s, "
-                "%6.1f Msim-cycles/s, %zu/%zu ok\n",
-                label, result.workers, result.wallSeconds,
-                result.trialsPerSecond(),
-                result.simCyclesPerSecond() / 1e6, result.aggregate.ok,
-                result.trialCount);
+    std::sort(v.begin(), v.end());
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
 }
 
-// ---------------------------------------------------------------------
-// Section 3: prefix-snapshot A/B (DESIGN.md §12).
-// ---------------------------------------------------------------------
+exp::json::Value
+jsonArray(const std::vector<double> &values)
+{
+    exp::json::Value out = exp::json::Value::array();
+    for (double v : values)
+        out.push(v);
+    return out;
+}
+
+using AbArm = std::pair<const char *, exp::CampaignSpec>;
+
+/** One comparison; side 0 is the baseline, side 1 the candidate. */
+struct AbResult
+{
+    std::string name;
+    std::array<const char *, 2> labels{};
+    /** Seconds per campaign, per side, one entry per pair. */
+    std::array<std::vector<double>, 2> seconds;
+    /** Each side's first run, and its fingerprint. */
+    std::array<exp::CampaignResult, 2> first;
+    std::array<std::string, 2> fingerprints;
+    /** baseline / candidate, one entry per pair. */
+    std::vector<double> speedups;
+    std::size_t candidateWins = 0;
+    /** Every run matched the baseline's first fingerprint. */
+    bool identical = true;
+    /** Every trial of every run ended Ok. */
+    bool trialsOk = true;
+
+    bool ok() const { return identical && trialsOk; }
+    double medianSpeedup() const { return quantile(speedups, 0.5); }
+
+    /** The candidate won at least 9 of 10 pairs, median >= 1.0. */
+    bool
+    candidateFaster() const
+    {
+        return candidateWins * 10 >= speedups.size() * 9 &&
+               medianSpeedup() >= 1.0;
+    }
+
+    exp::json::Value
+    toJson() const
+    {
+        exp::json::Value out = exp::json::Value::object();
+        for (std::size_t side = 0; side < 2; ++side)
+            out.set(side ? "candidate" : "baseline",
+                    exp::json::Value::object()
+                        .set("label", labels[side])
+                        .set("median_seconds", quantile(seconds[side], 0.5))
+                        .set("q1_seconds", quantile(seconds[side], 0.25))
+                        .set("q3_seconds", quantile(seconds[side], 0.75))
+                        .set("seconds_per_campaign",
+                             jsonArray(seconds[side])));
+        return out.set("speedups", jsonArray(speedups))
+            .set("speedup_median", medianSpeedup())
+            .set("candidate_wins", std::uint64_t{candidateWins})
+            .set("fingerprints_identical", identical)
+            .set("trials_ok", trialsOk)
+            .set("fingerprint", fnv1aHex(fingerprints[0]));
+    }
+};
+
+/** Run one side of @p ab for abMinArmSeconds; seconds per campaign. */
+double
+timeArm(const exp::CampaignSpec &spec, std::size_t side, AbResult &ab)
+{
+    double total = 0.0;
+    std::size_t runs = 0;
+    while (total < abMinArmSeconds) {
+        exp::CampaignResult result = exp::runCampaign(spec);
+        total += result.wallSeconds;
+        ++runs;
+        // Pair 0 runs the baseline first, so fingerprints[0] is set
+        // before any candidate run is compared with it.
+        const std::string fp = deterministicFingerprint(result);
+        const bool firstRun = ab.fingerprints[side].empty();
+        if (firstRun)
+            ab.fingerprints[side] = fp;
+        ab.identical = ab.identical && fp == ab.fingerprints[0];
+        ab.trialsOk =
+            ab.trialsOk && result.aggregate.ok == result.trialCount;
+        if (firstRun)
+            ab.first[side] = std::move(result);
+    }
+    return total / static_cast<double>(runs);
+}
+
+/** Time @p baseline against @p candidate over abPairs pairs, even
+ *  pairs running the baseline first; print every pair and the summary,
+ *  and hand each arm's first run to @p sink. */
+AbResult
+runAb(const char *name, const AbArm &baseline, const AbArm &candidate,
+      exp::JsonFileSink &sink)
+{
+    AbResult ab;
+    ab.name = name;
+    ab.labels = {baseline.first, candidate.first};
+    const std::array<const AbArm *, 2> arms = {&baseline, &candidate};
+    for (std::size_t pair = 0; pair < abPairs; ++pair) {
+        std::array<double, 2> secs{};
+        for (std::size_t k = 0; k < 2; ++k) {
+            const std::size_t side = (pair + k) % 2;
+            secs[side] = timeArm(arms[side]->second, side, ab);
+            ab.seconds[side].push_back(secs[side]);
+        }
+        ab.speedups.push_back(secs[0] / secs[1]);
+        ab.candidateWins += secs[1] < secs[0];
+        std::printf("pair %2zu (%s first): %-8s %.4fs  %-8s %.4fs  "
+                    "speedup %.3f\n",
+                    pair, ab.labels[pair % 2], ab.labels[0], secs[0],
+                    ab.labels[1], secs[1], ab.speedups.back());
+    }
+
+    for (std::size_t side = 0; side < 2; ++side)
+        std::printf("%s%-8s median %.4fs per campaign (q1 %.4f, q3 %.4f)\n",
+                    side ? "" : "\n", ab.labels[side],
+                    quantile(ab.seconds[side], 0.5),
+                    quantile(ab.seconds[side], 0.25),
+                    quantile(ab.seconds[side], 0.75));
+    std::printf("%s speedup: median %.2fx, %s won %zu/%zu pairs\n"
+                "fingerprints identical: %s (%s); every trial ok: %s\n",
+                name, ab.medianSpeedup(), ab.labels[1], ab.candidateWins,
+                ab.speedups.size(), ab.identical ? "yes" : "NO",
+                fnv1aHex(ab.fingerprints[0]).c_str(),
+                ab.trialsOk ? "yes" : "NO");
+    sink.consume(ab.first[0]);
+    sink.consume(ab.first[1]);
+    return ab;
+}
+
+/**
+ * Write bench-results/BENCH_<section>.json, the layout every section
+ * shares: the section's verdict and each comparison by name, after
+ * the section's own fields in @p doc.
+ */
+void
+writeBench(const char *section, bool pass,
+           std::initializer_list<const AbResult *> comparisons,
+           exp::json::Value doc = exp::json::Value::object())
+{
+    exp::json::Value byName = exp::json::Value::object();
+    for (const AbResult *ab : comparisons)
+        byName.set(ab->name, ab->toJson());
+    doc.set("bench", std::string("perf_campaign_") + section)
+        .set("pass", pass)
+        .set("min_arm_seconds", abMinArmSeconds)
+        .set("host_cores",
+             std::uint64_t{std::thread::hardware_concurrency()})
+        .set("comparisons", std::move(byName));
+    const std::string path =
+        std::string("bench-results/BENCH_") + section + ".json";
+    writeFileAtomic(path, doc.dump());
+    std::printf("bench JSON: %s\n", path.c_str());
+}
+
+// ---- The AES rig shared by sections 3 and 6 (DESIGN.md §12) ----
 
 constexpr std::size_t prefixTrials = 12;
 /** Warm decryptions inside the prefix — what makes it warmup-heavy. */
@@ -211,30 +346,20 @@ constexpr std::array<std::uint8_t, 16> prefixKey = {
     0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
     0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};
 
-/**
- * The warmup artifact: every handle the prefix mints, valid in each
- * fork exactly because forks share the warmed-up machine state.  The
- * enclave pages are deliberately left unsealed — each trial loads its
- * own ciphertext into its copy of the input page.
- */
+/** The warmup artifact: every handle the prefix mints, valid in each
+ *  fork.  The enclave is left unsealed: each trial loads its own
+ *  ciphertext into its copy of the input page. */
 struct PrefixRig
 {
     os::Pid pid = 0;
-    crypto::AesKey decKey;
-    crypto::AesKey encKey;
+    crypto::AesKey decKey{prefixKey.data(), 128, true};
+    crypto::AesKey encKey{prefixKey.data(), 128, false};
     crypto::AesVictimLayout layout;
     std::array<PAddr, 5> tablePa{};
     std::shared_ptr<const cpu::Program> program;
-
-    PrefixRig()
-        : decKey(prefixKey.data(), 128, true),
-          encKey(prefixKey.data(), 128, false)
-    {
-    }
 };
 
-/** The shared §12 warmup: build the AES enclave rig and warm-decrypt
- *  (used by the prefix-snapshot and differential-replay sections). */
+/** The shared warmup: build the AES enclave rig and warm-decrypt. */
 std::shared_ptr<const void>
 aesRigWarmup(os::Machine &m)
 {
@@ -262,359 +387,201 @@ aesRigWarmup(os::Machine &m)
     return rig;
 }
 
+/** A 1-worker campaign on the rig, forked and pooled by default. */
 exp::CampaignSpec
-prefixSpec(const char *name, bool prefix_cache, bool pool)
+rigSpec(const char *name, std::size_t trial_count)
 {
     exp::CampaignSpec spec;
     spec.name = name;
-    spec.trials = prefixTrials;
+    spec.trials = trial_count;
     spec.masterSeed = 42;
     spec.workers = 1;
-    spec.prefixCache = prefix_cache;
-    spec.machinePool = pool;
+    spec.prefixCache = true;
+    spec.machinePool = true;
     // The fingerprint rides on the aggregate (plus payloads); the
     // per-trial component-metric blocks are pure serialization weight.
     spec.perTrialMetrics = false;
-
     spec.warmup = aesRigWarmup;
+    return spec;
+}
 
-    spec.body = [](const exp::TrialContext &ctx) {
-        os::Machine &m = *ctx.fork;
-        const auto *rig =
-            static_cast<const PrefixRig *>(ctx.warmupData);
-
-        // Per-trial secret input, drawn from the trial stream.
+/** One trial on the rig's fork: loads a ciphertext drawn from the
+ *  trial seed, and holds the steps both rig sections share. */
+struct RigTrial
+{
+    explicit RigTrial(const exp::TrialContext &ctx)
+        : m(*ctx.fork),
+          rig(*static_cast<const PrefixRig *>(ctx.warmupData))
+    {
         Rng rng(ctx.seed);
-        std::uint8_t plaintext[16], ct[16];
+        std::uint8_t plaintext[16];
         for (unsigned i = 0; i < 16; ++i)
             plaintext[i] = static_cast<std::uint8_t>(rng.below(256));
-        crypto::encryptBlock(rig->encKey, plaintext, ct);
-        crypto::loadCiphertext(m.kernel(), rig->pid, rig->layout, ct);
+        crypto::encryptBlock(rig.encKey, plaintext, ct.data());
+        crypto::loadCiphertext(m.kernel(), rig.pid, rig.layout,
+                               ct.data());
+    }
 
-        const auto probeTable = [&](unsigned table) {
-            attack::LineProbe probe;
-            for (unsigned line = 0; line < 16; ++line) {
-                const os::ProbeResult r = m.kernel().timedProbePhys(
-                    rig->tablePa[table] + line * lineSize);
-                probe.latency[line] = r.latency;
-                probe.level[line] = r.level;
-            }
-            return probe;
-        };
-        const auto primeTables = [&] {
-            for (unsigned t = 0; t < 4; ++t)
-                m.kernel().primeRange(rig->tablePa[t], 1024);
-        };
+    os::Machine &m;
+    const PrefixRig &rig;
+    std::array<std::uint8_t, 16> ct{};
 
-        std::vector<attack::LineProbe> replays;
-        ms::Microscope scope(m);
+    attack::LineProbe
+    probe(unsigned table) const
+    {
+        attack::LineProbe probe;
+        for (unsigned line = 0; line < 16; ++line) {
+            const os::ProbeResult r = m.kernel().timedProbePhys(
+                rig.tablePa[table] + line * lineSize);
+            probe.latency[line] = r.latency;
+            probe.level[line] = r.level;
+        }
+        return probe;
+    }
+
+    void
+    prime() const
+    {
+        for (unsigned t = 0; t < 4; ++t)
+            m.kernel().primeRange(rig.tablePa[t], 1024);
+    }
+
+    /** Start one decryption of the trial's ciphertext on context 0. */
+    void
+    start() const
+    {
+        m.kernel().startOnContext(rig.pid, 0, rig.program);
+    }
+
+    /** One longest-walk episode on the Td0 handle, the tables
+     *  re-primed before every resume; sections add the rest. */
+    ms::AttackRecipe
+    recipe() const
+    {
         ms::AttackRecipe recipe;
-        recipe.victim = rig->pid;
-        recipe.replayHandle = rig->layout.td0;
-        recipe.pivot = rig->layout.rk;
-        recipe.confidence = 3;
+        recipe.victim = rig.pid;
+        recipe.replayHandle = rig.layout.td0;
         recipe.maxEpisodes = 1;
         recipe.walkPlan = ms::PageWalkPlan::longest();
-        recipe.onReplay = [&](const ms::ReplayEvent &) {
-            replays.push_back(probeTable(1));
-            return true;
-        };
-        recipe.beforeResume = [&](const ms::ReplayEvent &) {
-            primeTables();
-        };
-        scope.setRecipe(std::move(recipe));
+        recipe.beforeResume = [this](const ms::ReplayEvent &) { prime(); };
+        return recipe;
+    }
 
-        primeTables();
-        scope.arm();
-        m.kernel().startOnContext(rig->pid, 0, rig->program);
-        m.runUntilHalted(0, 50'000'000);
-        scope.disarm();
-
-        // Ground truth + majority vote over the primed replays, as in
-        // the Figure-11 run.
+    /** Majority vote of @p windows past the first @p skip against the
+     *  Td1 lines the first round really touches. */
+    bool
+    majorityMatches(const std::vector<attack::LineProbe> &windows,
+                    std::size_t skip) const
+    {
         std::set<unsigned> expected;
         const crypto::DecAccessTrace trace =
-            crypto::traceDecryption(rig->decKey, ct);
+            crypto::traceDecryption(rig.decKey, ct.data());
         for (std::uint8_t index : trace.indices[0][1])
             expected.insert(crypto::tableLineOf(index));
+        const std::size_t voters =
+            windows.size() > skip ? windows.size() - skip : 0;
         std::array<unsigned, 16> votes{};
-        std::size_t primed = replays.size() > 1 ? replays.size() - 1
-                                                : 0;
-        for (std::size_t i = 1; i < replays.size(); ++i)
-            for (unsigned line :
-                 replays[i].hitLines(prefixHitThreshold))
+        for (std::size_t i = skip; i < windows.size(); ++i)
+            for (unsigned line : windows[i].hitLines(prefixHitThreshold))
                 ++votes[line];
         std::set<unsigned> majority;
         for (unsigned line = 0; line < 16; ++line)
-            if (votes[line] * 2 > primed)
+            if (votes[line] * 2 > voters)
                 majority.insert(line);
-        const bool matches = primed > 0 && majority == expected;
+        return voters > 0 && majority == expected;
+    }
 
+    /** Verdict, sim cycles and metrics; callers add scope, payload. */
+    exp::TrialOutput
+    output(const exp::TrialContext &ctx, const ms::Microscope &scope,
+           bool matches) const
+    {
         exp::TrialOutput out;
         out.metric.add(matches ? 1.0 : 0.0);
         out.simCycles = m.cycle() - ctx.forkCycle;
-        out.scope.episodes = 1;
-        out.scope.totalReplays = scope.stats().totalReplays;
         obs::MetricRegistry registry;
         m.exportMetrics(registry);
         scope.exportMetrics(registry);
         out.metrics = registry.snapshot();
+        return out;
+    }
+};
 
-        exp::json::Value probes = exp::json::Value::array();
-        for (const attack::LineProbe &probe : replays) {
-            exp::json::Value row = exp::json::Value::array();
-            for (Cycles latency : probe.latency)
-                row.push(latency);
-            probes.push(std::move(row));
-        }
+// ---- Section 3: prefix snapshot and machine pool (DESIGN.md §12) ----
+
+exp::CampaignSpec
+prefixSpec(const char *name, bool prefix_cache, bool pool)
+{
+    exp::CampaignSpec spec = rigSpec(name, prefixTrials);
+    spec.prefixCache = prefix_cache;
+    spec.machinePool = pool;
+    spec.body = [](const exp::TrialContext &ctx) {
+        const RigTrial trial(ctx);
+        os::Machine &m = trial.m;
+
+        std::vector<attack::LineProbe> replays;
+        ms::Microscope scope(m);
+        ms::AttackRecipe recipe = trial.recipe();
+        recipe.pivot = trial.rig.layout.rk;
+        recipe.confidence = 3;
+        recipe.onReplay = [&](const ms::ReplayEvent &) {
+            replays.push_back(trial.probe(1));
+            return true;
+        };
+        scope.setRecipe(std::move(recipe));
+
+        trial.prime();
+        scope.arm();
+        trial.start();
+        m.runUntilHalted(0, 50'000'000);
+        scope.disarm();
+
+        // Replay 0 probes the warm cache; the vote is over the primed
+        // replays, as in the Figure-11 run.
+        const bool matches = trial.majorityMatches(replays, 1);
+        exp::TrialOutput out = trial.output(ctx, scope, matches);
+        out.scope.episodes = 1;
+        out.scope.totalReplays = scope.stats().totalReplays;
         out.payload = exp::json::Value::object()
                           .set("matches_ground_truth", matches)
-                          .set("probe_latencies", std::move(probes));
+                          .set("probe_latencies", probeLatencies(replays));
         return out;
     };
     return spec;
 }
 
-void
-writeTextFile(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << text;
-}
-
-/** Run section 3; returns false on a hard failure. */
 bool
 prefixSection(exp::JsonFileSink &sink)
 {
-    std::printf("\n==============================================================\n");
-    std::printf("Prefix-snapshot A/B: warmup-heavy Fig.-11-shaped arm, "
-                "%zu trials, %u warm runs\n",
-                prefixTrials, prefixWarmRuns);
-    std::printf("==============================================================\n\n");
+    std::printf("\n=== 3. prefix cache and machine pool, 12 trials ===\n\n");
+    const AbResult cache = runAb(
+        "prefix_cache",
+        {"cold", prefixSpec("perf_campaign_prefix_off", false, false)},
+        {"forked", prefixSpec("perf_campaign_prefix_on", true, true)},
+        sink);
+    std::printf("\n");
+    const AbResult pool = runAb(
+        "machine_pool",
+        {"nopool", prefixSpec("perf_campaign_prefix_nopool", true, false)},
+        {"pool", prefixSpec("perf_campaign_prefix_on", true, true)},
+        sink);
+    writeFileAtomic("bench-results/BENCH_prefix_fp_off.txt",
+                    cache.fingerprints[0]);
+    writeFileAtomic("bench-results/BENCH_prefix_fp_on.txt",
+                    cache.fingerprints[1]);
 
-    exp::CampaignResult off = exp::runCampaign(
-        prefixSpec("perf_campaign_prefix_off", false, false));
-    report("cold", off);
-    exp::CampaignResult on = exp::runCampaign(
-        prefixSpec("perf_campaign_prefix_on", true, true));
-    report("forked", on);
-
-    const double speedup =
-        on.wallSeconds > 0.0 ? off.wallSeconds / on.wallSeconds : 0.0;
-    std::printf("\nprefix-cache speedup (1 worker): %.2fx "
-                "(paper-repro target: >= 2x)\n", speedup);
-
-    // The fork contract: a forked trial is byte-identical to a cold
-    // trial that reseeds at the same point.  Hard failure if violated.
-    const std::string fpOff = deterministicFingerprint(off);
-    const std::string fpOn = deterministicFingerprint(on);
-    const bool identical = fpOff == fpOn;
-    std::printf("fingerprints byte-identical across arms: %s\n",
-                identical ? "yes" : "NO");
-
-    sink.consume(off);
-    sink.consume(on);
-    writeTextFile("bench-results/BENCH_prefix_fp_off.txt", fpOff);
-    writeTextFile("bench-results/BENCH_prefix_fp_on.txt", fpOn);
-
-    const exp::json::Value bench =
-        exp::json::Value::object()
-            .set("bench", "perf_campaign_prefix")
-            .set("config",
-                 exp::json::Value::object()
-                     .set("trials", std::uint64_t{prefixTrials})
-                     .set("warm_runs", std::uint64_t{prefixWarmRuns})
-                     .set("workers", std::uint64_t{1})
-                     .set("master_seed", std::uint64_t{42}))
-            .set("trials_per_sec", on.trialsPerSecond())
-            .set("trials_per_sec_off", off.trialsPerSecond())
-            .set("speedup_vs_off", speedup)
-            .set("fingerprints_identical", identical)
-            .set("fingerprint", fnv1aHex(fpOn));
-    writeTextFile("bench-results/BENCH_prefix.json", bench.dump());
-    std::printf("bench JSON: bench-results/BENCH_prefix.json "
-                "(+ fingerprint files)\n");
-
-    // CI gate: determinism is absolute; the speedup must never regress
-    // below break-even (the >= 2x target is tracked via the JSON).
-    return identical && speedup >= 1.0 &&
-           off.aggregate.ok == prefixTrials &&
-           on.aggregate.ok == prefixTrials;
+    // The fork contract: a forked trial, pooled or not, is byte-
+    // identical to a cold trial that reseeds at the same point.
+    const bool sameAcross = pool.fingerprints[0] == cache.fingerprints[0];
+    std::printf("\nfingerprints identical across all three arms: %s\n",
+                sameAcross ? "yes" : "NO");
+    const bool pass =
+        cache.ok() && pool.ok() && sameAcross && cache.candidateFaster();
+    writeBench("prefix", pass, {&cache, &pool});
+    return pass;
 }
 
-// ---------------------------------------------------------------------
-// Section 5: observability A/B (DESIGN.md §14).
-// ---------------------------------------------------------------------
-
-/** Phase profiling + metric export must stay effectively free. */
-constexpr double obsOverheadGate = 1.10;
-/** Interleaved off/metrics pairs behind the overhead gate: one
- *  ~50 ms arm each is too short for a single pair to be trusted. */
-constexpr std::size_t obsOverheadPairs = 7;
-
-struct ObsArm
-{
-    obs::ObsLevel level = obs::ObsLevel::Off;
-    const char *name = "";
-    double wallSeconds = 0.0;
-    double trialsPerSec = 0.0;
-    std::string fingerprint;
-    bool hasProf = false;
-    bool ok = false;
-    /** The arm's trials merged into one Chrome trace (Trace only). */
-    exp::json::Value mergedTrace;
-};
-
-/** The section-2 fast-forward-on campaign at one obs level. */
-ObsArm
-runObsArm(obs::ObsLevel level)
-{
-    const std::string name =
-        std::string("perf_campaign_obs_") + obs::obsLevelName(level);
-    exp::CampaignSpec spec = fig11StyleSpec(name.c_str(), 1, true);
-    spec.obsLevel = level;
-    const exp::CampaignResult result = exp::runCampaign(spec);
-
-    ObsArm arm;
-    arm.level = level;
-    arm.name = obs::obsLevelName(level);
-    arm.wallSeconds = result.wallSeconds;
-    arm.trialsPerSec = result.trialsPerSecond();
-    arm.fingerprint = deterministicFingerprint(result);
-    arm.hasProf = !result.prof.empty();
-    arm.ok = result.aggregate.ok == fig11Trials;
-    if (level >= obs::ObsLevel::Trace) {
-        std::vector<const obs::EventLog *> logs;
-        for (const exp::TrialResult &trial : result.trials)
-            logs.push_back(&trial.output.trace);
-        arm.mergedTrace = obs::mergeChromeTraces(logs);
-    }
-    return arm;
-}
-
-/** Run section 5; returns false on a hard failure. */
-bool
-obsSection(std::optional<obs::ObsLevel> pinned)
-{
-    std::printf("\n==============================================================\n");
-    std::printf("Observability A/B: fig11_aes_replay at "
-                "--obs=off/metrics/trace, %zu trials\n",
-                fig11Trials);
-    std::printf("==============================================================\n\n");
-
-    if (pinned) {
-        const ObsArm arm = runObsArm(*pinned);
-        std::printf("obs=%-8s %6.2fs wall, %5.1f trials/s, "
-                    "fingerprint %s\n",
-                    arm.name, arm.wallSeconds, arm.trialsPerSec,
-                    fnv1aHex(arm.fingerprint).c_str());
-        return arm.ok;
-    }
-
-    // The overhead gate: off/metrics pairs, alternating which arm
-    // runs first so drift in host speed cancels; the median ratio is
-    // gated.  Then one trace arm.
-    std::vector<ObsArm> arms;
-    std::vector<double> ratios;
-    for (std::size_t pair = 0; pair < obsOverheadPairs; ++pair) {
-        const bool offFirst = pair % 2 == 0;
-        ObsArm first = runObsArm(offFirst ? obs::ObsLevel::Off
-                                          : obs::ObsLevel::Metrics);
-        ObsArm second = runObsArm(offFirst ? obs::ObsLevel::Metrics
-                                           : obs::ObsLevel::Off);
-        const ObsArm &off = offFirst ? first : second;
-        const ObsArm &metrics = offFirst ? second : first;
-        ratios.push_back(off.wallSeconds > 0.0
-                             ? metrics.wallSeconds / off.wallSeconds
-                             : 0.0);
-        std::printf("pair %zu (%s first): off %.3fs, metrics %.3fs, "
-                    "ratio %.3f\n",
-                    pair, offFirst ? "off" : "metrics",
-                    off.wallSeconds, metrics.wallSeconds,
-                    ratios.back());
-        arms.push_back(std::move(first));
-        arms.push_back(std::move(second));
-    }
-    arms.push_back(runObsArm(obs::ObsLevel::Trace));
-    for (const ObsArm &arm : arms)
-        std::printf("obs=%-8s %6.2fs wall, %5.1f trials/s, prof %s, "
-                    "fingerprint %s\n",
-                    arm.name, arm.wallSeconds, arm.trialsPerSec,
-                    arm.hasProf ? "yes" : "no",
-                    fnv1aHex(arm.fingerprint).c_str());
-
-    // The invariance contract: the dial NEVER changes results.
-    bool identical = true, ok = true;
-    for (const ObsArm &arm : arms) {
-        identical = identical && arm.fingerprint == arms[0].fingerprint;
-        ok = ok && arm.ok;
-    }
-    std::printf("\nfingerprints byte-identical across obs levels: "
-                "%s\n", identical ? "yes" : "NO");
-
-    // Prof must be present exactly when the dial says so.
-    bool profGated = true;
-    for (const ObsArm &arm : arms)
-        profGated = profGated && arm.hasProf == (arm.level !=
-                                                 obs::ObsLevel::Off);
-    if (!profGated)
-        std::printf("prof presence does not match the obs dial\n");
-
-    std::vector<double> sorted = ratios;
-    std::sort(sorted.begin(), sorted.end());
-    const double overhead = sorted[sorted.size() / 2];
-    std::printf("metrics overhead vs off: %.3fx median of %zu pairs "
-                "(range %.3f-%.3f; gate: <= %.2fx)\n",
-                overhead, ratios.size(), sorted.front(), sorted.back(),
-                obsOverheadGate);
-
-    // The trace arm's merged document: one track group per trial.
-    const exp::json::Value &merged = arms.back().mergedTrace;
-    const std::size_t tracedTrials =
-        merged.get("otherData")->get("trials")->asU64();
-    const std::string mergedPath =
-        "bench-results/perf_campaign_obs.trace.json";
-    writeTextFile(mergedPath, merged.dump());
-    std::printf("trace arm: %zu/%zu trials in the merged trace %s\n",
-                tracedTrials, fig11Trials, mergedPath.c_str());
-
-    exp::json::Value pairsJson = exp::json::Value::array();
-    for (const double ratio : ratios)
-        pairsJson.push(ratio);
-    exp::json::Value armsJson = exp::json::Value::array();
-    for (const ObsArm &arm : arms)
-        armsJson.push(exp::json::Value::object()
-                          .set("obs", arm.name)
-                          .set("wall_seconds", arm.wallSeconds)
-                          .set("trials_per_sec", arm.trialsPerSec)
-                          .set("has_prof", arm.hasProf)
-                          .set("fingerprint_match",
-                               arm.fingerprint == arms[0].fingerprint));
-    const exp::json::Value bench =
-        exp::json::Value::object()
-            .set("bench", "perf_campaign_obs")
-            .set("config",
-                 exp::json::Value::object()
-                     .set("recipe", "fig11_aes_replay")
-                     .set("trials", std::uint64_t{fig11Trials})
-                     .set("master_seed", std::uint64_t{42}))
-            .set("overhead_metrics_vs_off", overhead)
-            .set("overhead_pair_ratios", std::move(pairsJson))
-            .set("overhead_gate", obsOverheadGate)
-            .set("fingerprints_identical", identical)
-            .set("fingerprint", fnv1aHex(arms[0].fingerprint))
-            .set("merged_trace_trials", std::uint64_t{tracedTrials})
-            .set("arms", std::move(armsJson));
-    writeTextFile("bench-results/BENCH_obs.json", bench.dump());
-    std::printf("bench JSON: bench-results/BENCH_obs.json\n");
-
-    return ok && identical && profGated && tracedTrials == fig11Trials &&
-           overhead > 0.0 && overhead <= obsOverheadGate;
-}
-
-// ---------------------------------------------------------------------
-// Section 6: differential-replay A/B (DESIGN.md §15).
-// ---------------------------------------------------------------------
+// ---- Section 6: differential replay (DESIGN.md §15) ----
 
 constexpr std::size_t diffTrials = 8;
 /** Episode re-entries per trial — the §4.3 denoise vote width. */
@@ -622,64 +589,26 @@ constexpr std::uint64_t diffIterations = 5;
 constexpr Cycles diffRunBudget = 50'000'000;
 
 /**
- * Denoise-shaped trial: one confidence-2 episode (replay 1 is the
- * calibration prefix, replay 2 the measured window), re-entered
- * diffIterations times with a fresh noise seed each, line hits decided
- * by majority vote.  With @p differential the re-entry restores the
- * engine's episode snapshot; without it, the pre-arm snapshot is
- * restored and the prefix — per-trial warm decryption, priming, the
- * arming run up to the replay-1 re-arm — re-simulated from scratch.
- * Both must produce bit-identical results.
+ * Denoise-shaped trial: one confidence-2 episode (replay 1 calibrates,
+ * replay 2 is the measured window) re-entered diffIterations times,
+ * each with a fresh noise seed, then a majority vote.  With
+ * @p differential a re-entry restores the episode snapshot; without
+ * it, the pre-arm snapshot is restored and the prefix re-simulated.
  */
 exp::CampaignSpec
 diffReplaySpec(const char *name, bool differential)
 {
-    exp::CampaignSpec spec;
-    spec.name = name;
-    spec.trials = diffTrials;
-    spec.masterSeed = 42;
-    spec.workers = 1;
-    spec.prefixCache = true;
-    spec.machinePool = true;
-    spec.perTrialMetrics = false;
-    spec.warmup = aesRigWarmup;
+    exp::CampaignSpec spec = rigSpec(name, diffTrials);
     spec.body = [differential](const exp::TrialContext &ctx) {
-        os::Machine &m = *ctx.fork;
-        const auto *rig =
-            static_cast<const PrefixRig *>(ctx.warmupData);
-
-        // Per-trial secret input, drawn from the trial stream; loaded
-        // once, before the pre-arm snapshot, so both arms see it.
-        Rng rng(ctx.seed);
-        std::uint8_t plaintext[16], ct[16];
-        for (unsigned i = 0; i < 16; ++i)
-            plaintext[i] = static_cast<std::uint8_t>(rng.below(256));
-        crypto::encryptBlock(rig->encKey, plaintext, ct);
-        crypto::loadCiphertext(m.kernel(), rig->pid, rig->layout, ct);
-
-        const auto probeTable = [&](unsigned table) {
-            attack::LineProbe probe;
-            for (unsigned line = 0; line < 16; ++line) {
-                const os::ProbeResult r = m.kernel().timedProbePhys(
-                    rig->tablePa[table] + line * lineSize);
-                probe.latency[line] = r.latency;
-                probe.level[line] = r.level;
-            }
-            return probe;
-        };
-        const auto primeTables = [&] {
-            for (unsigned t = 0; t < 4; ++t)
-                m.kernel().primeRange(rig->tablePa[t], 1024);
-        };
+        // The ciphertext is loaded once, before the pre-arm snapshot,
+        // so both arms see it.
+        const RigTrial trial(ctx);
+        os::Machine &m = trial.m;
 
         std::vector<attack::LineProbe> windows;
         ms::Microscope scope(m);
-        ms::AttackRecipe recipe;
-        recipe.victim = rig->pid;
-        recipe.replayHandle = rig->layout.td0;
+        ms::AttackRecipe recipe = trial.recipe();
         recipe.confidence = 2;
-        recipe.maxEpisodes = 1;
-        recipe.walkPlan = ms::PageWalkPlan::longest();
         recipe.differentialReplay = differential;
         recipe.onReplay = [&](const ms::ReplayEvent &event) {
             if (event.replayIndex == 1) {
@@ -687,21 +616,15 @@ diffReplaySpec(const char *name, bool differential)
                 // table, then re-prime — the work the fast arm's
                 // snapshot captures instead of re-executing.
                 for (unsigned t = 0; t < 4; ++t)
-                    probeTable(t);
+                    trial.probe(t);
             } else {
-                windows.push_back(probeTable(1));
+                windows.push_back(trial.probe(1));
             }
             return true;
         };
-        recipe.beforeResume = [&](const ms::ReplayEvent &) {
-            primeTables();
-        };
         scope.setRecipe(std::move(recipe));
 
-        // Pre-arm snapshot: the resimulating arm rewinds here before
-        // every iteration.  The differential arms never read it, and
-        // a snapshot has no semantic effect (PhysMem share counters
-        // are stripped from fingerprints), so they skip its cost.
+        // Pre-arm snapshot, for the resimulating arm only.
         os::Snapshot pre;
         ms::EpisodeState preState;
         if (!differential) {
@@ -711,15 +634,14 @@ diffReplaySpec(const char *name, bool differential)
                                         scope.stats()};
         }
         const auto runPrefix = [&]() {
-            // Per-trial warm decryption of this trial's ciphertext —
-            // the calibration run a denoise campaign performs before
-            // opening the episode, and the bulk of the prefix cost.
-            m.kernel().startOnContext(rig->pid, 0, rig->program);
+            // A warm decryption of this trial's ciphertext, the bulk
+            // of the prefix cost, then the arming run.
+            trial.start();
             if (!m.runUntilHalted(0, diffRunBudget))
                 throw std::runtime_error("warm run never halted");
-            primeTables();
+            trial.prime();
             scope.arm();
-            m.kernel().startOnContext(rig->pid, 0, rig->program);
+            trial.start();
             const bool reached = m.runUntil(
                 [&]() {
                     return differential
@@ -752,262 +674,165 @@ diffReplaySpec(const char *name, bool differential)
                 throw std::runtime_error("window never closed");
         }
 
-        // Majority vote over the measured windows vs ground truth.
-        std::set<unsigned> expected;
-        const crypto::DecAccessTrace trace =
-            crypto::traceDecryption(rig->decKey, ct);
-        for (std::uint8_t index : trace.indices[0][1])
-            expected.insert(crypto::tableLineOf(index));
-        std::array<unsigned, 16> votes{};
-        for (const attack::LineProbe &probe : windows)
-            for (unsigned line : probe.hitLines(prefixHitThreshold))
-                ++votes[line];
-        std::set<unsigned> majority;
-        for (unsigned line = 0; line < 16; ++line)
-            if (votes[line] * 2 > windows.size())
-                majority.insert(line);
-        const bool matches = !windows.empty() && majority == expected;
-
-        exp::TrialOutput out;
-        out.metric.add(matches ? 1.0 : 0.0);
-        out.simCycles = m.cycle() - ctx.forkCycle;
+        const bool matches = trial.majorityMatches(windows, 0);
+        exp::TrialOutput out = trial.output(ctx, scope, matches);
         out.scope = scope.stats();
-        obs::MetricRegistry registry;
-        m.exportMetrics(registry);
-        scope.exportMetrics(registry);
-        out.metrics = registry.snapshot();
-
-        exp::json::Value probes = exp::json::Value::array();
-        for (const attack::LineProbe &probe : windows) {
-            exp::json::Value row = exp::json::Value::array();
-            for (Cycles latency : probe.latency)
-                row.push(latency);
-            probes.push(std::move(row));
-        }
         out.payload = exp::json::Value::object()
                           .set("matches_ground_truth", matches)
                           .set("final_cycle", m.cycle())
-                          .set("probe_latencies", std::move(probes));
+                          .set("probe_latencies", probeLatencies(windows));
         return out;
     };
     return spec;
 }
 
-/** Run section 6; returns false on a hard failure. */
 bool
 diffReplaySection(exp::JsonFileSink &sink)
 {
-    std::printf("\n==============================================================\n");
-    std::printf("Differential-replay A/B: denoise-shaped episodes, %zu "
-                "trials x %llu re-entries\n",
-                diffTrials,
-                static_cast<unsigned long long>(diffIterations));
-    std::printf("==============================================================\n\n");
-
-    exp::CampaignResult off = exp::runCampaign(
-        diffReplaySpec("perf_campaign_diffreplay_off", false));
-    report("resim", off);
-
-    exp::CampaignResult on = exp::runCampaign(
-        diffReplaySpec("perf_campaign_diffreplay_on", true));
-    report("cowfork", on);
-
-    const double speedup =
-        on.wallSeconds > 0.0 ? off.wallSeconds / on.wallSeconds : 0.0;
-    std::printf("\ndifferential-replay speedup (1 worker): %.2fx "
-                "(paper-repro target: >= 1.5x)\n", speedup);
-
-    // The replay contract: restoring the episode snapshot is byte-
-    // identical to re-simulating the prefix.  Hard failure if violated.
-    const std::string fpOff = deterministicFingerprint(off);
-    const std::string fpOn = deterministicFingerprint(on);
-    const bool identical = fpOff == fpOn;
-    std::printf("fingerprints byte-identical across arms: %s\n",
-                identical ? "yes" : "NO");
-
-    sink.consume(off);
-    sink.consume(on);
-    writeTextFile("bench-results/BENCH_diffreplay_fp_off.txt", fpOff);
-    writeTextFile("bench-results/BENCH_diffreplay_fp_on.txt", fpOn);
-
-    const exp::json::Value bench =
-        exp::json::Value::object()
-            .set("bench", "perf_campaign_diffreplay")
-            .set("config",
-                 exp::json::Value::object()
-                     .set("trials", std::uint64_t{diffTrials})
-                     .set("replays_per_trial",
-                          std::uint64_t{diffIterations})
-                     .set("workers", std::uint64_t{1})
-                     .set("master_seed", std::uint64_t{42}))
-            .set("trials_per_sec", on.trialsPerSecond())
-            .set("trials_per_sec_off", off.trialsPerSecond())
-            .set("speedup_vs_off", speedup)
-            .set("fingerprints_identical", identical)
-            .set("fingerprint", fnv1aHex(fpOn));
-    writeTextFile("bench-results/BENCH_diffreplay.json", bench.dump());
-    std::printf("bench JSON: bench-results/BENCH_diffreplay.json "
-                "(+ fingerprint files)\n");
-
-    // CI gate: determinism is absolute; the speedup must never regress
-    // below break-even (>= 1.5x is tracked via the JSON).
-    return identical && speedup >= 1.0 &&
-           off.aggregate.ok == diffTrials &&
-           on.aggregate.ok == diffTrials;
+    std::printf("\n=== 6. differential replay, 8 trials x 5 replays ===\n\n");
+    const AbResult ab = runAb(
+        "differential_replay",
+        {"resim", diffReplaySpec("perf_campaign_diffreplay_off", false)},
+        {"restore", diffReplaySpec("perf_campaign_diffreplay_on", true)},
+        sink);
+    writeFileAtomic("bench-results/BENCH_diffreplay_fp_off.txt",
+                    ab.fingerprints[0]);
+    writeFileAtomic("bench-results/BENCH_diffreplay_fp_on.txt",
+                    ab.fingerprints[1]);
+    const bool pass = ab.ok() && ab.candidateFaster();
+    writeBench("diffreplay", pass, {&ab});
+    return pass;
 }
 
-// ---------------------------------------------------------------------
-// Sections 1 and 2: sharding and fast-forward A/B.
-// ---------------------------------------------------------------------
+// ---- Section 5: observability (DESIGN.md §14) ----
 
-/** Run section 1 (Fig.-10 sharding); returns false on hard failure. */
+/** Phase profiling + metric export must stay effectively free. */
+constexpr double obsOverheadGate = 1.10;
+
 bool
-shardingSection(bool fast_forward, exp::JsonFileSink &sink)
+obsSection(exp::JsonFileSink &sink)
+{
+    std::printf("\n=== 5. observability, 8 Fig.-11-shaped trials ===\n\n");
+    const AbResult ab = runAb(
+        "obs_metrics",
+        {"off", fig11StyleSpec("perf_campaign_obs_off", true)},
+        {"metrics", fig11StyleSpec("perf_campaign_obs_metrics", true,
+                                   obs::ObsLevel::Metrics)},
+        sink);
+    std::vector<double> overheads;
+    for (std::size_t pair = 0; pair < ab.speedups.size(); ++pair)
+        overheads.push_back(ab.seconds[1][pair] / ab.seconds[0][pair]);
+    const double overhead = quantile(overheads, 0.5);
+    std::printf("metrics overhead vs off: median %.3fx (gate: <= %.2fx)\n",
+                overhead, obsOverheadGate);
+
+    // The trace run: the dial never changes results, and every trial's
+    // event log reaches the merged Perfetto document.
+    const exp::CampaignResult traced = exp::runCampaign(fig11StyleSpec(
+        "perf_campaign_obs_trace", true, obs::ObsLevel::Trace));
+    const bool traceIdentical =
+        deterministicFingerprint(traced) == ab.fingerprints[0] &&
+        traced.aggregate.ok == fig11Trials;
+    std::vector<const obs::EventLog *> logs;
+    for (const exp::TrialResult &trial : traced.trials)
+        logs.push_back(&trial.output.trace);
+    const exp::json::Value merged = obs::mergeChromeTraces(logs);
+    const std::size_t tracedTrials =
+        merged.get("otherData")->get("trials")->asU64();
+    const std::string mergedPath =
+        "bench-results/perf_campaign_obs.trace.json";
+    writeFileAtomic(mergedPath, merged.dump());
+    std::printf("trace run: fingerprint %s, %zu/%zu trials in the merged "
+                "trace %s\n",
+                traceIdentical ? "identical" : "DIFFERS", tracedTrials,
+                fig11Trials, mergedPath.c_str());
+
+    // Prof must be present exactly when the dial says so.
+    const bool profGated = ab.first[0].prof.empty() &&
+                           !ab.first[1].prof.empty() &&
+                           !traced.prof.empty();
+    if (!profGated)
+        std::printf("prof presence does not match the obs dial\n");
+
+    const bool pass = ab.ok() && traceIdentical && profGated &&
+                      tracedTrials == fig11Trials &&
+                      overhead <= obsOverheadGate;
+    writeBench("obs", pass, {&ab},
+               exp::json::Value::object()
+                   .set("overhead_median", overhead)
+                   .set("overhead_gate", obsOverheadGate)
+                   .set("merged_trace_trials",
+                        std::uint64_t{tracedTrials}));
+    return pass;
+}
+
+// ---- Sections 1 and 2: sharding and fast-forward ----
+
+bool
+shardingSection(exp::JsonFileSink &sink)
 {
     const unsigned hw = std::thread::hardware_concurrency();
-    std::printf("==============================================================\n");
-    std::printf("Campaign-runner throughput: Fig.-10-style sweep, %zu "
-                "trials\n", trials);
-    std::printf("hardware_concurrency: %u, fast-forward: %s\n", hw,
-                fast_forward ? "on" : "off");
-    std::printf("==============================================================\n\n");
+    std::printf("\n=== 1. sharding, 16 Fig.-10-style trials ===\n\n");
+    const AbResult ab = runAb("sharding", {"serial", fig10StyleSpec(1)},
+                              {"parallel", fig10StyleSpec(4)}, sink);
 
-    exp::CampaignResult serial =
-        exp::runCampaign(fig10StyleSpec(1, fast_forward));
-    report("serial", serial);
-    exp::CampaignResult parallel =
-        exp::runCampaign(fig10StyleSpec(4, fast_forward));
-    report("parallel", parallel);
-
-    const double speedup =
-        parallel.wallSeconds > 0.0
-            ? serial.wallSeconds / parallel.wallSeconds
-            : 0.0;
-    std::printf("\nspeedup at 4 workers:   %.2fx\n", speedup);
-
-    const bool identical = deterministicFingerprint(serial) ==
-                           deterministicFingerprint(parallel);
-    std::printf("aggregates bit-identical across worker counts: %s\n",
-                identical ? "yes" : "NO");
-
-    sink.consume(serial);
-    sink.consume(parallel);
-    std::printf("campaign JSON: %s (+ serial twin)\n",
-                sink.lastPath().c_str());
-
-    bool ok = identical && serial.aggregate.ok == trials &&
-              parallel.aggregate.ok == trials;
-    if (hw >= 4) {
-        std::printf("expectation (>= 4 cores): >= 2x  ->  %s\n",
-                    speedup >= 2.0 ? "PASS" : "FAIL");
-        ok = ok && speedup >= 2.0;
-    } else {
-        std::printf("only %u core(s) visible: parallel speedup is "
-                    "hardware-bound near %ux; determinism is the "
-                    "enforced check here\n",
-                    hw, hw ? hw : 1);
-    }
-    return ok;
+    // Trials are independent CPU-bound simulations, so the speedup
+    // tracks the core count: below 4 cores it is only reported.
+    const bool fast = hw < 4 || ab.medianSpeedup() >= 2.0;
+    std::printf("%u cores: median >= 2x %s\n", hw,
+                hw < 4 ? "not enforced" : fast ? "PASS" : "FAIL");
+    const bool pass = ab.ok() && fast;
+    writeBench("sharding", pass, {&ab});
+    return pass;
 }
 
-/** Run section 2 (fast-forward A/B); returns false on hard failure. */
 bool
-fastForwardSection(std::optional<bool> pinned, exp::JsonFileSink &sink)
+fastForwardSection(exp::JsonFileSink &sink)
 {
-    std::printf("\n==============================================================\n");
-    std::printf("Fast-forward A/B: Fig.-11-shaped AES replay trials, "
-                "%zu trials\n", fig11Trials);
-    std::printf("==============================================================\n\n");
-
-    if (pinned) {
-        // Pinned mode: measure it alone, no A/B comparison possible.
-        const bool ff = *pinned;
-        exp::CampaignResult result = exp::runCampaign(fig11StyleSpec(
-            ff ? "perf_campaign_fig11_ff_on"
-               : "perf_campaign_fig11_ff_off",
-            1, ff));
-        report(ff ? "ff=on" : "ff=off", result);
-        sink.consume(result);
-        std::printf("campaign JSON: %s\n", sink.lastPath().c_str());
-        return result.aggregate.ok == fig11Trials;
-    }
-
-    exp::CampaignResult ffOff = exp::runCampaign(
-        fig11StyleSpec("perf_campaign_fig11_ff_off", 1, false));
-    report("ff=off", ffOff);
-    exp::CampaignResult ffOn = exp::runCampaign(
-        fig11StyleSpec("perf_campaign_fig11_ff_on", 1, true));
-    report("ff=on", ffOn);
-    exp::CampaignResult ffOn4 = exp::runCampaign(
-        fig11StyleSpec("perf_campaign_fig11_ff_on4", 4, true));
-    report("ff=on", ffOn4);
-
-    const double ffSpeedup = ffOn.wallSeconds > 0.0
-                                 ? ffOff.wallSeconds / ffOn.wallSeconds
-                                 : 0.0;
-    std::printf("\nfast-forward speedup (1 worker): %.2fx\n", ffSpeedup);
-
-    // The elision contract: identical results across modes AND across
-    // worker counts within the fast mode.  Hard failure if violated;
-    // the speedup is measured, not asserted (timing noise is not a
-    // correctness signal).
-    const std::string ffBaseline = deterministicFingerprint(ffOff);
-    const bool ffIdentical =
-        ffBaseline == deterministicFingerprint(ffOn) &&
-        ffBaseline == deterministicFingerprint(ffOn4);
-    std::printf("fingerprints bit-identical across modes and worker "
-                "counts: %s (ff=on %s)\n",
-                ffIdentical ? "yes" : "NO",
-                fnv1aHex(deterministicFingerprint(ffOn)).c_str());
-
-    sink.consume(ffOff);
-    sink.consume(ffOn);
-    sink.consume(ffOn4);
-    std::printf("campaign JSON: %s (+ off/on twins)\n",
-                sink.lastPath().c_str());
-
-    return ffIdentical && ffOff.aggregate.ok == fig11Trials &&
-           ffOn.aggregate.ok == fig11Trials &&
-           ffOn4.aggregate.ok == fig11Trials;
+    std::printf("\n=== 2. fast-forward, 8 Fig.-11-shaped trials ===\n\n");
+    // The elision contract is the gate; the speedup is reported.
+    const AbResult ab = runAb(
+        "fast_forward",
+        {"ff=off", fig11StyleSpec("perf_campaign_fig11_ff_off", false)},
+        {"ff=on", fig11StyleSpec("perf_campaign_fig11_ff_on", true)},
+        sink);
+    writeBench("fastforward", ab.ok(), {&ab});
+    return ab.ok();
 }
+
+struct Section
+{
+    unsigned number;
+    bool (*run)(exp::JsonFileSink &);
+};
+
+constexpr Section sections[] = {{1, shardingSection},
+                                {2, fastForwardSection},
+                                {3, prefixSection},
+                                {5, obsSection},
+                                {6, diffReplaySection}};
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    // Peel off --section before the shared obs parser sees (and
-    // rejects) it.
-    std::optional<unsigned> sectionFlag;
-    std::vector<char *> rest;
-    rest.push_back(argv[0]);
+    const Section *only = nullptr;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg.rfind("--section=", 0) == 0) {
-            const std::optional<std::uint64_t> n =
-                obs::parseUnsignedValue(arg.c_str() + 10);
-            if (!n || *n < 1 || *n > 6 || *n == 4) {
-                std::fprintf(stderr,
-                             "perf_campaign: --section takes one of "
-                             "1, 2, 3, 5, 6 (got '%s')\n",
-                             arg.c_str() + 10);
-                return 2;
-            }
-            sectionFlag = static_cast<unsigned>(*n);
-        } else
-            rest.push_back(argv[i]);
+        const std::optional<std::uint64_t> n =
+            arg.rfind("--section=", 0) == 0
+                ? obs::parseUnsignedValue(arg.c_str() + 10)
+                : std::nullopt;
+        only = std::find_if(std::begin(sections), std::end(sections),
+                            [&](const Section &s) { return n == s.number; });
+        if (only == std::end(sections)) {
+            std::fprintf(stderr, "perf_campaign: bad argument '%s' (usage: "
+                                 "--section=N, N in 1, 2, 3, 5, 6)\n",
+                         arg.c_str());
+            return 2;
+        }
     }
-    obs::BenchObsOptions opts;
-    try {
-        opts = obs::parseBenchObsOptions(
-            static_cast<int>(rest.size()), rest.data(),
-            "bench-results/perf_campaign.trace.json");
-    } catch (const SimPanic &) {
-        return 2;  // panic() has named the bad argument
-    }
-    // Sharding section: fast-forward on unless pinned off, so the
-    // throughput numbers reflect the production configuration.
-    const bool fig10Ff = opts.fastForward.value_or(true);
 
     std::optional<exp::JsonFileSink> sink;
     try {
@@ -1016,22 +841,9 @@ main(int argc, char **argv)
         return 2;  // fatal() has named the directory
     }
 
-    // --section=N runs exactly one numbered section; without it, all
-    // of them run (the full bench).
-    const auto want = [&](unsigned section) {
-        return !sectionFlag || *sectionFlag == section;
-    };
-
     bool ok = true;
-    if (want(1))
-        ok = shardingSection(fig10Ff, *sink) && ok;
-    if (want(2))
-        ok = fastForwardSection(opts.fastForward, *sink) && ok;
-    if (want(3))
-        ok = prefixSection(*sink) && ok;
-    if (want(5))
-        ok = obsSection(opts.obsLevel) && ok;
-    if (want(6))
-        ok = diffReplaySection(*sink) && ok;
+    for (const Section &section : sections)
+        if (!only || only == &section)
+            ok = section.run(*sink) && ok;
     return ok ? 0 : 1;
 }

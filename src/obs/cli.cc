@@ -95,16 +95,10 @@ parseBenchObsOptions(int argc, char **argv,
                 opts.fastForward = false;
             else
                 panic("--fast-forward requires 'on' or 'off'");
-        } else if (matchFlag(arg, "--obs", &value)) {
-            const std::optional<ObsLevel> level =
-                value ? parseObsLevel(value) : std::nullopt;
-            if (!level)
-                panic("--obs requires off|metrics|trace");
-            opts.obsLevel = level;
         } else {
             panic("unknown argument '%s' (known: --trace[=PATH], "
                   "--trace-capacity=N, --metrics, "
-                  "--fast-forward={on,off}, --obs=LEVEL)",
+                  "--fast-forward={on,off})",
                   arg);
         }
     }

@@ -11,12 +11,7 @@
  *                      always flow into the campaign JSON regardless).
  *   --fast-forward={on,off}
  *                      force event-driven fast-forward on or off
- *                      (default: each bench's own choice — usually
- *                      both, as an A/B measurement).
- *   --obs=LEVEL        pin the campaign observability dial
- *                      (off|metrics|trace); unset means "bench
- *                      decides" — perf_campaign's obs section uses it
- *                      to re-run one arm of its A/B.
+ *                      (default: each bench's own choice).
  *
  * An unknown argument is an error, like a bad value: both panic()
  * (common/logging.hh), and the benches turn the SimPanic into exit
@@ -32,7 +27,6 @@
 #include <string>
 
 #include "obs/metrics.hh"
-#include "obs/prof.hh"
 
 namespace uscope::obs
 {
@@ -60,10 +54,8 @@ struct BenchObsOptions
     std::string tracePath;
     std::size_t traceCapacity = std::size_t{1} << 16;
     bool metrics = false;
-    /** --fast-forward: unset means "bench decides" (typically A/B). */
+    /** --fast-forward: unset means "bench decides". */
     std::optional<bool> fastForward;
-    /** --obs: unset means "bench decides". */
-    std::optional<ObsLevel> obsLevel;
 };
 
 /**

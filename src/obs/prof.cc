@@ -14,17 +14,6 @@ obsLevelName(ObsLevel level)
     return "?";
 }
 
-std::optional<ObsLevel>
-parseObsLevel(const std::string &name)
-{
-    for (ObsLevel level :
-         {ObsLevel::Off, ObsLevel::Metrics, ObsLevel::Trace}) {
-        if (name == obsLevelName(level))
-            return level;
-    }
-    return std::nullopt;
-}
-
 json::Value
 ProfData::toJson() const
 {

@@ -28,7 +28,6 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 
 #include "common/json.hh"
@@ -37,7 +36,7 @@
 namespace uscope::obs
 {
 
-/** The campaign observability dial (--obs=LEVEL). */
+/** The campaign observability dial (CampaignSpec::obsLevel). */
 enum class ObsLevel : int
 {
     Off = 0,     ///< No profiling, no tracing.
@@ -47,9 +46,6 @@ enum class ObsLevel : int
 
 /** Printable name ("off", "metrics", "trace"). */
 const char *obsLevelName(ObsLevel level);
-
-/** Inverse of obsLevelName; nullopt on anything else. */
-std::optional<ObsLevel> parseObsLevel(const std::string &name);
 
 /** Accumulated wall-time per phase (insertion-ordered by name). */
 class ProfData
